@@ -1,9 +1,13 @@
 module Graph = Rc_graph.Graph
 module IMap = Graph.IMap
+module ISet = Graph.ISet
 
 type state = {
   graph : Graph.t;
   repr : Graph.vertex IMap.t; (* original vertex -> current representative *)
+  members : ISet.t IMap.t;
+      (* representative -> its original members, for classes of two or
+         more; a representative absent here stands only for itself *)
 }
 
 let initial g =
@@ -11,6 +15,7 @@ let initial g =
     graph = g;
     repr =
       List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g);
+    members = IMap.empty;
   }
 
 let find st v =
@@ -22,35 +27,38 @@ let graph st = st.graph
 
 let same_class st u v = find st u = find st v
 
+let members_of members r =
+  match IMap.find_opt r members with Some s -> s | None -> ISet.singleton r
+
+(* Only the absorbed class is re-pointed: O(|class of rv| * log n). *)
 let merge st u v =
   let ru = find st u and rv = find st v in
   if ru = rv then None
   else if Graph.mem_edge st.graph ru rv then None
   else
     let graph = Graph.merge st.graph ru rv in
-    let repr = IMap.map (fun r -> if r = rv then ru else r) st.repr in
-    Some { graph; repr }
+    let moved = members_of st.members rv in
+    let repr = ISet.fold (fun m repr -> IMap.add m ru repr) moved st.repr in
+    let members =
+      IMap.add ru
+        (ISet.union (members_of st.members ru) moved)
+        (IMap.remove rv st.members)
+    in
+    Some { graph; repr; members }
 
+(* Representatives are exactly the vertices they map to themselves. *)
 let classes st =
   IMap.fold
-    (fun orig r acc ->
-      let cur = match IMap.find_opt r acc with Some l -> l | None -> [] in
-      IMap.add r (orig :: cur) acc)
-    st.repr IMap.empty
-  |> IMap.bindings
-  |> List.map (fun (r, members) -> (r, List.rev members))
-
-let class_of st v =
-  let r = find st v in
-  IMap.fold
-    (fun orig r' acc -> if r' = r then orig :: acc else acc)
+    (fun v r acc ->
+      if r = v then (v, ISet.elements (members_of st.members v)) :: acc else acc)
     st.repr []
   |> List.rev
 
+let class_of st v = ISet.elements (members_of st.members (find st v))
+
 (* Build a state directly from explicit interference-free classes:
-   merge each class into its representative on a flat mirror (linear in
-   edges), instead of a chain of persistent [Graph.merge]s (each one an
-   O(n) representative-map rewrite — quadratic over a search's worth).
+   merge each class into its representative on a flat mirror and
+   convert back once, instead of a chain of persistent [merge]s.
    Vertices not named by any class stay singletons.  The optimistic
    scheme uses this to realize the classes surviving de-coalescing. *)
 let of_classes g cls =
@@ -70,7 +78,16 @@ let of_classes g cls =
       (List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g))
       cls
   in
-  { graph = Rc_graph.Flat.to_graph f; repr }
+  (* Group the non-trivial entries only: linear in n plus the named
+     members' insertions. *)
+  let members =
+    IMap.fold
+      (fun v r acc ->
+        if r = v then acc
+        else IMap.add r (ISet.add v (members_of acc r)) acc)
+      repr IMap.empty
+  in
+  { graph = Rc_graph.Flat.to_graph f; repr; members }
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: the shared flat merge-search context                    *)
@@ -221,17 +238,39 @@ module Speculation = struct
 
   (* Commit without replay: the flat mirror already IS the merged
      graph, and the union-find composed with the base representative
-     map IS the new representative map.  Replaying [merge_log] instead
-     costs one persistent [Graph.merge] plus an O(n) [IMap.map] per
-     accepted merge — quadratic over a 10^5-vertex fixpoint.  The
-     sanitizer's [Committed] audit still replays the log independently
-     and compares, so the equivalence stays machine-checked. *)
+     map IS the new representative map.  The member index changes only
+     for the classes the log touched: each merged-away base class joins
+     its final root's, O(absorbed members * log) on top of the O(n)
+     map.  Replaying [merge_log] instead would pay one persistent
+     [Graph.merge] per accepted merge.  The sanitizer's [Committed]
+     audit still replays the log independently and compares, so the
+     equivalence stays machine-checked. *)
   let commit s =
     let graph = Flat.to_graph s.f in
-    let repr =
-      IMap.map (fun r -> Flat.label s.f (root s (Flat.index s.f r))) s.base.repr
+    let label i = Flat.label s.f i in
+    let base = s.base in
+    let repr = IMap.map (fun r -> label (root s (Flat.index s.f r))) base.repr in
+    (* Final root index -> the members it gained. *)
+    let joined = Hashtbl.create 16 in
+    let members = ref base.members in
+    for e = 0 to s.mlen - 1 do
+      let _, iv = s.merges.(e) in
+      let rv = label iv and ir = root s iv in
+      let gained = Option.value (Hashtbl.find_opt joined ir) ~default:[] in
+      Hashtbl.replace joined ir
+        (ISet.fold List.cons (members_of base.members rv) gained);
+      members := IMap.remove rv !members
+    done;
+    let members =
+      Hashtbl.fold
+        (fun ir gained members ->
+          let r = label ir in
+          IMap.add r
+            (ISet.union (members_of base.members r) (ISet.of_list gained))
+            members)
+        joined !members
     in
-    let st = { graph; repr } in
+    let st = { graph; repr; members } in
     notify (Committed st) s;
     st
 

@@ -22,7 +22,11 @@ val graph : state -> Graph.t
 val merge : state -> Graph.vertex -> Graph.vertex -> state option
 (** [merge st u v] coalesces the classes of [u] and [v] (arguments may
     be original vertices).  [None] when the classes interfere or are
-    equal — both make the coalescing invalid or pointless. *)
+    equal — both make the coalescing invalid or pointless.  The class
+    of [u] keeps its representative.  Costs
+    O((|class of v| + deg v) * log n): only the absorbed class's
+    members are re-pointed, and the persistent [Graph.merge] touches
+    only the absorbed vertex's neighbors. *)
 
 val same_class : state -> Graph.vertex -> Graph.vertex -> bool
 
@@ -36,10 +40,10 @@ val of_classes : Graph.t -> (Graph.vertex * Graph.vertex list) list -> state
 (** [of_classes g cls] builds the state realizing explicit classes over
     the vertices of [g]: each [(rep, members)] class is merged into
     [rep]; vertices named by no class stay singletons.  Classes must be
-    disjoint and interference-free.  Linear in the size of [g] (one
-    flat mirror, one merge per non-representative member) — the
+    disjoint and interference-free.  One flat mirror, one flat merge
+    per non-representative member and one conversion back — the
     optimistic scheme uses this to realize the classes surviving
-    de-coalescing without a quadratic chain of persistent merges. *)
+    de-coalescing. *)
 
 (** {1 Speculation}
 

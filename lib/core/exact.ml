@@ -135,9 +135,9 @@ let incremental (p : Problem.t) x y =
 (* Reference: the persistent-graph search, kept verbatim as the
    baseline for the differential test suite (test_search_equiv) and the
    old-vs-new benchmark trajectory (bench K1, BENCH_*.json).  Each
-   probe pays a full persistent [Graph.merge] plus an O(n) repr-map
-   rewrite; the flat path above replaces both with checkpointed
-   mutations.                                                          *)
+   probe allocates a persistent [Coalescing.merge] (graph surgery plus
+   a representative-map update); the flat path above replaces both
+   with checkpointed mutations.                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct

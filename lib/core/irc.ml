@@ -59,12 +59,13 @@ let in_play c m =
 let iter_adjacent c n fn =
   Flat.iter_neighbors c.f n (fun m -> if in_play c m then fn m)
 
-let node_moves c n =
-  List.filter
-    (fun i -> match c.mstate.(i) with Active_m | Worklist_m -> true | _ -> false)
-    c.move_list.(n)
+let live_move c i =
+  match c.mstate.(i) with Active_m | Worklist_m -> true | _ -> false
 
-let move_related c n = node_moves c n <> []
+let node_moves c n = List.filter (live_move c) c.move_list.(n)
+
+(* Hot (every degree decrement and worklist push): no filtered list. *)
+let move_related c n = List.exists (live_move c) c.move_list.(n)
 
 let enable_moves_one c n =
   List.iter

@@ -58,9 +58,9 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
 (* De-coalescing on the flat kernel: one mirror of the base graph, and
    per iteration a checkpointed replay of the surviving class merges —
    O(merges + V + E) instead of a persistent-state rebuild (each
-   persistent merge costs an O(n) representative-map rewrite on top of
-   the O(log n) graph surgery).  The classes are carried explicitly;
-   the persistent state is realized exactly once, at the end.
+   persistent merge pays O(log n) per absorbed member and per absorbed
+   neighbor).  The classes are carried explicitly; the persistent
+   state is realized exactly once, at the end.
 
    Class bookkeeping mirrors the Reference path bit for bit: after
    every split the class representatives collapse to the smallest

@@ -314,7 +314,7 @@ let transitive_closure_affinities (p : Problem.t) =
 (* Reference: the persistent-graph set search, kept verbatim as the
    baseline for the differential test suite and the old-vs-new
    benchmark trajectory.  Every probed candidate set folds persistent
-   [Coalescing.merge]s (each an O(n) representative rewrite) and every
+   [Coalescing.merge]s (each a fresh persistent state) and every
    singleton pass rebuilds a fresh flat mirror of the current state.   *)
 (* ------------------------------------------------------------------ *)
 

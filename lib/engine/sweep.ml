@@ -65,14 +65,13 @@ let preset_of_string s =
    and the speculative aggressive/commit paths removed the
    rescan-per-pass and replay-per-commit costs that used to cap
    aggressive, brute force, optimistic and the set search at 3*10^4:
-   all four now sweep the 10^5 preset in full.  The per-affinity
-   clique-tree strategy costs 28s at n=10^3, the coupled IRC loop
-   still rebuilds per round, and the branch-and-bound is exponential —
-   cliffs of their own. *)
+   all four now sweep the 10^5 preset in full, and so does IRC since
+   its merge replay pays per absorbed class instead of per vertex.
+   The per-affinity clique-tree strategy costs 28s at n=10^3 and the
+   branch-and-bound is exponential — cliffs of their own. *)
 let scale_ceiling = function
   | Strategies.Aggressive -> 1_000_000
   | Strategies.Conservative _ -> 1_000_000
-  | Strategies.Irc Rc_core.Irc.Briggs_and_george -> 30_000
   | Strategies.Irc _ -> 1_000_000
   | Strategies.Optimistic -> 1_000_000
   | Strategies.Chordal_incremental -> 1_200

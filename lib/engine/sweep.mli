@@ -13,10 +13,9 @@
     count, which the engine test suite asserts at 1, 2 and 4 domains.
 
     Scale ceilings: the challenge-scale presets reach 10^5 vertices,
-    where the persistent-rebuild-heavy strategies (aggressive commit,
-    brute-force re-checks, optimistic, set probes) and the per-affinity
-    clique-tree strategy (chordal-incremental) are not yet feasible —
-    their asymptotics, not the engine, are the bound.  Each strategy
+    where the per-affinity clique-tree strategy (chordal-incremental)
+    and the exact searches are not feasible — their asymptotics, not
+    the engine, are the bound.  Each strategy
     declares a vertex ceiling ({!scale_ceiling}); a cell over the
     ceiling reports [Capped] instead of timing out the sweep, and the
     leaderboard marks the row.  The ceilings encode the measured

@@ -7,7 +7,9 @@
    seeded random instances per algorithm through both paths and demands
    they agree on the removed-affinity weight, plus an independent
    brute-force oracle for the exact search so the suffix-weight pruning
-   bound can never silently over-prune. *)
+   bound can never silently over-prune.  The persistent merge state
+   itself is locked the same way: [Coalescing.merge] against the
+   full-rewrite representative map it replaced ([Merge_reference]). *)
 
 module G = Rc_graph.Graph
 module Greedy_k = Rc_graph.Greedy_k
@@ -246,6 +248,170 @@ let test_subsets_by_weight () =
   check_int "size 0" 1 (List.length (Set_coalescing.subsets_by_weight 0 affs));
   check_int "size > m" 0 (List.length (Set_coalescing.subsets_by_weight 6 affs))
 
+(* ------------------------------------------------------------------ *)
+(* Coalescing.merge vs the full-rewrite reference                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The original persistent merge state, kept here as the oracle of
+   [Coalescing]: a bare representative map that every merge rewrites in
+   full, with classes regrouped from it on demand. *)
+module Merge_reference = struct
+  module IMap = G.IMap
+
+  type state = { graph : G.t; repr : G.vertex IMap.t }
+
+  let initial g =
+    {
+      graph = g;
+      repr = List.fold_left (fun m v -> IMap.add v v m) IMap.empty (G.vertices g);
+    }
+
+  let find st v = IMap.find v st.repr
+
+  let merge st u v =
+    let ru = find st u and rv = find st v in
+    if ru = rv then None
+    else if G.mem_edge st.graph ru rv then None
+    else
+      let graph = G.merge st.graph ru rv in
+      let repr = IMap.map (fun r -> if r = rv then ru else r) st.repr in
+      Some { graph; repr }
+
+  let classes st =
+    IMap.fold
+      (fun orig r acc ->
+        let cur = match IMap.find_opt r acc with Some l -> l | None -> [] in
+        IMap.add r (orig :: cur) acc)
+      st.repr IMap.empty
+    |> IMap.bindings
+    |> List.map (fun (r, members) -> (r, List.rev members))
+
+  let class_of st v =
+    let r = find st v in
+    IMap.fold (fun orig r' acc -> if r' = r then orig :: acc else acc) st.repr []
+    |> List.rev
+
+  (* A chain of persistent merges per class. *)
+  let of_classes g cls =
+    let st = initial g in
+    let graph =
+      List.fold_left
+        (fun graph (rep, members) ->
+          List.fold_left
+            (fun graph v -> if v = rep then graph else G.merge graph rep v)
+            graph members)
+        st.graph cls
+    in
+    let repr =
+      List.fold_left
+        (fun m (rep, members) ->
+          List.fold_left (fun m v -> IMap.add v rep m) m members)
+        st.repr cls
+    in
+    { graph; repr }
+
+  let replay st log =
+    List.fold_left
+      (fun st (u, v) -> match merge st u v with Some st -> st | None -> assert false)
+      st log
+end
+
+(* Every observation [Coalescing] offers must match the reference. *)
+let assert_agree what g st (rs : Merge_reference.state) =
+  let vs = G.vertices g in
+  check (what ^ ": graph") true (G.equal (Coalescing.graph st) rs.graph);
+  List.iter
+    (fun v ->
+      check_int (what ^ ": find") (Merge_reference.find rs v) (Coalescing.find st v);
+      check (what ^ ": class_of") true
+        (Coalescing.class_of st v = Merge_reference.class_of rs v);
+      List.iter
+        (fun u ->
+          check (what ^ ": same_class")
+            (Merge_reference.find rs u = Merge_reference.find rs v)
+            (Coalescing.same_class st u v))
+        vs)
+    vs;
+  check (what ^ ": classes") true
+    (Coalescing.classes st = Merge_reference.classes rs)
+
+(* Random vertex pairs, drawn with replacement: the sequences hit equal
+   classes and interfering classes as well as accepted merges. *)
+let random_pair rng vs =
+  let n = Array.length vs in
+  (vs.(Random.State.int rng n), vs.(Random.State.int rng n))
+
+(* Drive both states through [steps] random merges, comparing after
+   each one. *)
+let merge_lockstep what rng g vs steps st rs =
+  let st = ref st and rs = ref rs in
+  for i = 1 to steps do
+    let u, v = random_pair rng vs in
+    let what = Printf.sprintf "%s, merge %d (%d, %d)" what i u v in
+    (match (Coalescing.merge !st u v, Merge_reference.merge !rs u v) with
+    | Some st', Some rs' ->
+        st := st';
+        rs := rs'
+    | None, None -> ()
+    | Some _, None -> Alcotest.failf "%s: accepted, reference refused" what
+    | None, Some _ -> Alcotest.failf "%s: refused, reference accepted" what);
+    assert_agree what g !st !rs
+  done;
+  (!st, !rs)
+
+(* Start states: fresh, built by [of_classes] from the classes of a
+   random reference run, or committed from a speculation (with marks
+   rolled back and released) over a partly merged base.  Then keep
+   merging. *)
+let test_merge_oracle () =
+  let classes = Qcheck_gen.[| Chordal; Gnp; Interval; K_colorable |] in
+  run_seeds ~name:"merge_oracle" ~count:200 (fun seed ->
+    let rng = Random.State.make [| seed; 0xc0a1 |] in
+    let n = 6 + Random.State.int rng 11 in
+    let g =
+      Qcheck_gen.graph_of_cls rng classes.(seed mod 4) ~n
+        ~density:(0.1 +. Random.State.float rng 0.4)
+    in
+    let vs = Array.of_list (G.vertices g) in
+    let what = Printf.sprintf "seed %d" seed in
+    let st, rs =
+      match seed mod 3 with
+      | 0 -> (Coalescing.initial g, Merge_reference.initial g)
+      | 1 ->
+          let _, rs0 =
+            merge_lockstep what rng g vs n (Coalescing.initial g)
+              (Merge_reference.initial g)
+          in
+          let cls =
+            List.filter
+              (fun (_, members) -> List.length members > 1 || seed mod 2 = 0)
+              (Merge_reference.classes rs0)
+          in
+          (Coalescing.of_classes g cls, Merge_reference.of_classes g cls)
+      | _ ->
+          let base, rbase =
+            merge_lockstep what rng g vs (n / 2) (Coalescing.initial g)
+              (Merge_reference.initial g)
+          in
+          let spec = Coalescing.Speculation.of_state base in
+          let burst () =
+            for _ = 1 to n do
+              let u, v = random_pair rng vs in
+              ignore (Coalescing.Speculation.merge spec u v)
+            done
+          in
+          burst ();
+          let m = Coalescing.Speculation.mark spec in
+          burst ();
+          if Random.State.bool rng then Coalescing.Speculation.rollback spec m
+          else Coalescing.Speculation.release spec m;
+          burst ();
+          ( Coalescing.Speculation.commit spec,
+            Merge_reference.replay rbase (Coalescing.Speculation.merge_log spec) )
+    in
+    assert_agree (what ^ ", start") g st rs;
+    ignore (merge_lockstep what rng g vs (2 * n) st rs))
+
 let () =
   Alcotest.run "rc_search_equiv"
     [
@@ -270,5 +436,10 @@ let () =
           Alcotest.test_case "coalesce: flat = reference (200 seeds)" `Quick
             test_set_differential;
           Alcotest.test_case "subset enumeration" `Quick test_subsets_by_weight;
+        ] );
+      ( "coalescing",
+        [
+          Alcotest.test_case "merge = full-rewrite reference (200 seeds)" `Quick
+            test_merge_oracle;
         ] );
     ]
