@@ -110,10 +110,23 @@ module Common = struct
             "Kernel adjacency-row policy: auto, matrix, sparse, bitset or \
              threshold:N (defaults to the kernel's auto heuristic).")
 
+  (* Out-of-range counts are usage errors here, before any pool
+     exists, with the same message [Pool.create] would raise. *)
+  let domains_conv =
+    let parse s =
+      match int_of_string_opt s with
+      | None -> Error (`Msg (Printf.sprintf "invalid domain count %S" s))
+      | Some n -> (
+          match Rc_engine.Pool.validate_domains n with
+          | () -> Ok n
+          | exception Invalid_argument m -> Error (`Msg m))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some domains_conv) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Domains to run on, including the caller's (defaults to the \
@@ -615,9 +628,7 @@ let sweep_cmd =
 let bench_cmd =
   let run seed preset domains rows json =
     let domains =
-      match domains with
-      | Some d -> max 1 d
-      | None -> Rc_engine.Pool.recommended_domains ()
+      Option.value domains ~default:(Rc_engine.Pool.recommended_domains ())
     in
     let seq = Rc_engine.Sweep.run ~domains:1 ?rows ~seed preset in
     let par = Rc_engine.Sweep.run ~domains ?rows ~seed preset in
@@ -885,7 +896,7 @@ let serve_cmd =
     let config =
       {
         Server.default_config with
-        domains = (match domains with Some d -> max 1 d | None -> 1);
+        domains = Option.value domains ~default:1;
         rows;
         certify = not no_certify;
         cache_capacity = max 1 cache;

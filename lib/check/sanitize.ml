@@ -299,13 +299,16 @@ let on_spec_event ev (s : Speculation.spec) =
   | Speculation.Committed st ->
       Speculation.self_check s;
       Flat.check_invariants (Speculation.flat s);
-      (* The fast commit derives the committed graph FROM the flat
-         mirror, so comparing the two would be circular.  Re-derive the
-         result independently instead: replay the merge log onto the
-         base state through the persistent [Graph.merge] path and
-         compare graphs and classes.  This is the per-merge persistent
-         graph surgery the fast commit avoids — paid only under the
-         sanitizer, once per search. *)
+      Option.iter Flat.check_invariants (Coalescing.snapshot st);
+      (* The fast commit keeps a frozen copy OF the flat mirror as the
+         committed graph, so comparing the two would be circular.
+         Re-derive the result independently instead: replay the merge
+         log onto the base state through the persistent [Graph.merge]
+         path and compare graphs and classes.  This is the per-merge
+         persistent graph surgery the fast commit avoids — paid only
+         under the sanitizer, once per search — and reading
+         [Coalescing.graph st] here also pays the snapshot's deferred
+         persistent build, which release runs skip. *)
       let replayed =
         Speculation.replay (Speculation.base s) (Speculation.merge_log s)
       in

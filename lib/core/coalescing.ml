@@ -1,9 +1,18 @@
 module Graph = Rc_graph.Graph
+module Flat = Rc_graph.Flat
 module IMap = Graph.IMap
 module ISet = Graph.ISet
 
+(* The merged graph G_f: persistent (from [initial] and [merge]), or the
+   flat graph a search built, frozen — never written again — with the
+   persistent view built on the first [graph] call.  Two domains racing
+   on that call both build equal graphs; the memo keeps one of them. *)
+type merged =
+  | Persistent of Graph.t
+  | Frozen of { flat : Flat.t; view : Graph.t option Atomic.t }
+
 type state = {
-  graph : Graph.t;
+  merged : merged;
   repr : Graph.vertex IMap.t; (* original vertex -> current representative *)
   members : ISet.t IMap.t;
       (* representative -> its original members, for classes of two or
@@ -12,7 +21,7 @@ type state = {
 
 let initial g =
   {
-    graph = g;
+    merged = Persistent g;
     repr =
       List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g);
     members = IMap.empty;
@@ -23,7 +32,21 @@ let find st v =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Coalescing.find: unknown vertex %d" v)
 
-let graph st = st.graph
+let frozen flat = Frozen { flat; view = Atomic.make None }
+
+let graph st =
+  match st.merged with
+  | Persistent g -> g
+  | Frozen { flat; view } -> (
+      match Atomic.get view with
+      | Some g -> g
+      | None ->
+          let g = Flat.to_graph flat in
+          Atomic.set view (Some g);
+          g)
+
+let snapshot st =
+  match st.merged with Persistent _ -> None | Frozen { flat; _ } -> Some flat
 
 let same_class st u v = find st u = find st v
 
@@ -34,17 +57,18 @@ let members_of members r =
 let merge st u v =
   let ru = find st u and rv = find st v in
   if ru = rv then None
-  else if Graph.mem_edge st.graph ru rv then None
   else
-    let graph = Graph.merge st.graph ru rv in
-    let moved = members_of st.members rv in
-    let repr = ISet.fold (fun m repr -> IMap.add m ru repr) moved st.repr in
-    let members =
-      IMap.add ru
-        (ISet.union (members_of st.members ru) moved)
-        (IMap.remove rv st.members)
-    in
-    Some { graph; repr; members }
+    let g = graph st in
+    if Graph.mem_edge g ru rv then None
+    else
+      let moved = members_of st.members rv in
+      let repr = ISet.fold (fun m repr -> IMap.add m ru repr) moved st.repr in
+      let members =
+        IMap.add ru
+          (ISet.union (members_of st.members ru) moved)
+          (IMap.remove rv st.members)
+      in
+      Some { merged = Persistent (Graph.merge g ru rv); repr; members }
 
 (* Representatives are exactly the vertices they map to themselves. *)
 let classes st =
@@ -57,18 +81,17 @@ let classes st =
 let class_of st v = ISet.elements (members_of st.members (find st v))
 
 (* Build a state directly from explicit interference-free classes:
-   merge each class into its representative on a flat mirror and
-   convert back once, instead of a chain of persistent [merge]s.
+   merge each class into its representative on a flat mirror, which the
+   state then keeps frozen, instead of a chain of persistent [merge]s.
    Vertices not named by any class stay singletons.  The optimistic
    scheme uses this to realize the classes surviving de-coalescing. *)
 let of_classes g cls =
-  let f = Rc_graph.Flat.of_graph g in
+  let f = Flat.of_graph g in
   List.iter
     (fun (rep, members) ->
-      let irep = Rc_graph.Flat.index f rep in
+      let irep = Flat.index f rep in
       List.iter
-        (fun v ->
-          if v <> rep then Rc_graph.Flat.merge f irep (Rc_graph.Flat.index f v))
+        (fun v -> if v <> rep then Flat.merge f irep (Flat.index f v))
         members)
     cls;
   let repr =
@@ -87,15 +110,13 @@ let of_classes g cls =
         else IMap.add r (ISet.add v (members_of acc r)) acc)
       repr IMap.empty
   in
-  { graph = Rc_graph.Flat.to_graph f; repr; members }
+  { merged = frozen f; repr; members }
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: the shared flat merge-search context                    *)
 (* ------------------------------------------------------------------ *)
 
 module Speculation = struct
-  module Flat = Rc_graph.Flat
-
   (* Rebind the state-level operations the submodule shadows. *)
   let state_find = find
   let state_merge = merge
@@ -141,7 +162,11 @@ module Speculation = struct
     match Domain.DLS.get monitor with None -> () | Some f -> f ev s
 
   let of_state ?rows st =
-    let f = Flat.of_graph ?rows st.graph in
+    let f =
+      match st.merged with
+      | Persistent g -> Flat.of_graph ?rows g
+      | Frozen { flat; _ } -> Flat.compact ?rows flat
+    in
     {
       base = st;
       f;
@@ -238,15 +263,18 @@ module Speculation = struct
 
   (* Commit without replay: the flat mirror already IS the merged
      graph, and the union-find composed with the base representative
-     map IS the new representative map.  The member index changes only
-     for the classes the log touched: each merged-away base class joins
-     its final root's, O(absorbed members * log) on top of the O(n)
-     map.  Replaying [merge_log] instead would pay one persistent
+     map IS the new representative map.  The state keeps a copy of the
+     mirror — never the mirror itself, which later merges and rollbacks
+     of this spec keep rewriting — and builds the persistent graph only
+     if someone asks for it.  The member index changes only for the
+     classes the log touched: each merged-away base class joins its
+     final root's, O(absorbed members * log) on top of the O(n) map.
+     Replaying [merge_log] instead would pay one persistent
      [Graph.merge] per accepted merge.  The sanitizer's [Committed]
      audit still replays the log independently and compares, so the
      equivalence stays machine-checked. *)
   let commit s =
-    let graph = Flat.to_graph s.f in
+    let merged = frozen (Flat.copy s.f) in
     let label i = Flat.label s.f i in
     let base = s.base in
     let repr = IMap.map (fun r -> label (root s (Flat.index s.f r))) base.repr in
@@ -270,7 +298,7 @@ module Speculation = struct
             members)
         joined !members
     in
-    let st = { graph; repr; members } in
+    let st = { merged; repr; members } in
     notify (Committed st) s;
     st
 
@@ -372,13 +400,14 @@ let check (p : Problem.t) s =
       p.graph (Ok ())
   in
   (* The coalesced graph must contain the projected edges. *)
+  let g = graph st in
   let* () =
     Graph.fold_edges
       (fun u v acc ->
         match acc with
         | Error _ -> acc
         | Ok () ->
-            if Graph.mem_edge st.graph (find st u) (find st v) then Ok ()
+            if Graph.mem_edge g (find st u) (find st v) then Ok ()
             else Error "coalesced graph is missing a projected interference")
       p.graph (Ok ())
   in
@@ -394,5 +423,10 @@ let check (p : Problem.t) s =
   then Ok ()
   else Error "solution affinity classification inconsistent"
 
+(* A frozen state answers on its flat graph directly, read-only: no
+   persistent build, no round trip back through [Flat.of_graph]. *)
 let is_conservative (p : Problem.t) s =
-  Rc_graph.Greedy_k.is_greedy_k_colorable s.state.graph p.k
+  match s.state.merged with
+  | Persistent g -> Rc_graph.Greedy_k.is_greedy_k_colorable g p.k
+  | Frozen { flat; _ } ->
+      Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly flat p.k

@@ -9,6 +9,14 @@
 module Graph = Rc_graph.Graph
 
 type state
+(** Immutable.  The merged graph is held either as a persistent
+    {!Graph.t} (states from {!initial} and {!merge}) or, for states made
+    by {!Speculation.commit} and {!of_classes}, as a frozen
+    {!Rc_graph.Flat} snapshot of the graph the search built: a private
+    flat graph nobody writes again.  A frozen state builds its
+    persistent view lazily, on the first {!graph} call, and keeps it.
+    States are safe to share across domains: two domains racing on that
+    first call both get equal graphs. *)
 
 val initial : Graph.t -> state
 
@@ -17,7 +25,16 @@ val find : state -> Graph.vertex -> Graph.vertex
     [Invalid_argument] on vertices absent from the initial graph. *)
 
 val graph : state -> Graph.t
-(** The coalesced graph G_f. *)
+(** The coalesced graph G_f.  On a frozen state the first call builds
+    it from the snapshot (O(V + E log V)) and later calls return the
+    same value; the searches, {!is_conservative} and
+    {!Speculation.of_state} never need it. *)
+
+val snapshot : state -> Rc_graph.Flat.t option
+(** The frozen flat snapshot behind a state made by
+    {!Speculation.commit} or {!of_classes}; [None] for a persistent
+    state.  For audits and tests: it is shared, so never mutate it and
+    never hand it to a function that claims its scratch buffers. *)
 
 val merge : state -> Graph.vertex -> Graph.vertex -> state option
 (** [merge st u v] coalesces the classes of [u] and [v] (arguments may
@@ -26,7 +43,8 @@ val merge : state -> Graph.vertex -> Graph.vertex -> state option
     of [u] keeps its representative.  Costs
     O((|class of v| + deg v) * log n): only the absorbed class's
     members are re-pointed, and the persistent [Graph.merge] touches
-    only the absorbed vertex's neighbors. *)
+    only the absorbed vertex's neighbors.  On a frozen state it first
+    pays the one-time {!graph} build.  The result is persistent. *)
 
 val same_class : state -> Graph.vertex -> Graph.vertex -> bool
 
@@ -40,10 +58,10 @@ val of_classes : Graph.t -> (Graph.vertex * Graph.vertex list) list -> state
 (** [of_classes g cls] builds the state realizing explicit classes over
     the vertices of [g]: each [(rep, members)] class is merged into
     [rep]; vertices named by no class stay singletons.  Classes must be
-    disjoint and interference-free.  One flat mirror, one flat merge
-    per non-representative member and one conversion back — the
-    optimistic scheme uses this to realize the classes surviving
-    de-coalescing. *)
+    disjoint and interference-free.  One flat mirror and one flat
+    merge per non-representative member; the state keeps that mirror
+    as its frozen snapshot, with no conversion back.  The optimistic
+    scheme uses this to realize the classes surviving de-coalescing. *)
 
 (** {1 Speculation}
 
@@ -57,9 +75,8 @@ val of_classes : Graph.t -> (Graph.vertex * Graph.vertex list) list -> state
 
     Discipline: marks are LIFO, exactly like {!Rc_graph.Flat}
     checkpoints (each mark opens one).  A [spec] is single-owner mutable
-    state; accepted merges are replayed onto the persistent base state
-    once, by {!Speculation.commit}, so callers keep the same boundary
-    types. *)
+    state; {!Speculation.commit} turns the accepted merges into an
+    ordinary {!type:state}, so callers keep the same boundary types. *)
 
 module Speculation : sig
   type spec
@@ -67,8 +84,10 @@ module Speculation : sig
 
   val of_state : ?rows:Rc_graph.Flat.rows -> state -> spec
   (** Flat mirror of [state]'s current merged graph.  The state is
-      retained as the commit base; it is never mutated.  [?rows]
-      selects the mirror's row representation (default
+      retained as the commit base; it is never mutated.  A frozen state
+      is mirrored with {!Rc_graph.Flat.compact}, which builds the same
+      mirror as going through {!graph}, without the persistent graph.
+      [?rows] selects the mirror's row representation (default
       {!Rc_graph.Flat.Auto}): the searches run identically on sparse,
       bitset or matrix rows — the representation-differential tests
       exploit exactly that. *)
@@ -135,8 +154,12 @@ module Speculation : sig
   (** Replays a merge log onto a persistent state. *)
 
   val commit : spec -> state
-  (** [replay base (merge_log spec)]: the persistent state realizing
-      every merge accepted so far. *)
+  (** The state realizing every merge accepted so far: equal to
+      [replay base (merge_log spec)], but built without a replay and
+      without a persistent graph rebuild.  The state takes a frozen
+      {!Rc_graph.Flat.copy} of the mirror (O(capacity + edges)), so the
+      spec stays usable: later merges, marks and rollbacks never reach
+      the committed graph. *)
 
   (** {2 Instrumentation}
 
@@ -145,9 +168,9 @@ module Speculation : sig
       domain-local load and branch per speculation event), fired after
       the event completes.  Each domain installs and observes its own
       hook, so sweep-engine workers can sanitize concurrently without
-      sharing audit state.  [Committed] carries the persistent state
-      just produced so the monitor can compare it against the flat
-      mirror. *)
+      sharing audit state.  [Committed] carries the state just
+      produced (its graph a frozen snapshot of the flat mirror) so the
+      monitor can compare it against an independent replay. *)
 
   type event = Merged | Rolled_back | Released | Committed of state
 
@@ -184,4 +207,7 @@ val check : Problem.t -> solution -> (unit, string) result
     only consistency is enforced). *)
 
 val is_conservative : Problem.t -> solution -> bool
-(** The coalesced graph is greedy-k-colorable for the problem's [k]. *)
+(** The coalesced graph is greedy-k-colorable for the problem's [k].  A
+    frozen state is checked on its snapshot in place
+    ({!Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly}), without
+    building {!graph}. *)

@@ -21,6 +21,18 @@ type t = {
 
 let recommended_domains () = Domain.recommended_domain_count ()
 
+(* The runtime's Max_domains (OCaml 5.1), counting the main domain;
+   [Domain.spawn] past it fails with an untyped [Failure]. *)
+let max_domains = 128
+
+let validate_domains n =
+  if n < 1 || n > max_domains then
+    invalid_arg
+      (Printf.sprintf
+         "%d domains requested: the count must be between 1 and %d (the \
+          OCaml runtime's domain limit, the caller's domain included)"
+         n max_domains)
+
 (* Workers block between runs and wake on a generation bump.  A worker
    that oversleeps a whole run is harmless: the job body it would pick
    up has an exhausted cursor, and once [job] is cleared the wait
@@ -59,11 +71,11 @@ let worker_loop t =
 let create ~domains =
   (* The caller's domain participates in every run, so arm its
      (domain-local) sanitizer too — same contract as the workers. *)
+  validate_domains domains;
   ignore (Rc_check.Sanitize.install_if_enabled ());
-  let n_domains = max 1 domains in
   let t =
     {
-      n_domains;
+      n_domains = domains;
       submit = Mutex.create ();
       mutex = Mutex.create ();
       work_ready = Condition.create ();
@@ -76,7 +88,7 @@ let create ~domains =
     }
   in
   t.workers <-
-    List.init (n_domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let domains t = t.n_domains

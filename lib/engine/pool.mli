@@ -23,10 +23,21 @@
 type t
 
 val create : domains:int -> t
-(** A pool driving [max 1 domains] domains total: the caller's domain
-    (which participates in every {!run}) plus [domains - 1] spawned
-    workers that block between runs.  Spawning is the expensive part
-    (~ms); create one pool per sweep session, not per call. *)
+(** A pool driving [domains] domains total: the caller's domain (which
+    participates in every {!run}) plus [domains - 1] spawned workers
+    that block between runs.  Spawning is the expensive part (~ms);
+    create one pool per sweep session, not per call.  Raises
+    [Invalid_argument] (see {!validate_domains}) before spawning
+    anything when [domains] is outside [1 .. max_domains]. *)
+
+val max_domains : int
+(** 128: the OCaml 5.1 runtime's limit on live domains, the main
+    domain included.  Spawning past it fails inside the runtime. *)
+
+val validate_domains : int -> unit
+(** [Invalid_argument], naming {!max_domains}, unless the count is in
+    [1 .. max_domains].  Shared by {!create} and the CLI's [--domains]
+    parser, so both refuse the same counts with the same message. *)
 
 val domains : t -> int
 (** The fixed domain count, including the caller's. *)

@@ -247,7 +247,7 @@ let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
     | None ->
         let domains =
           match domains with
-          | Some d -> max 1 d
+          | Some d -> d
           | None -> Pool.recommended_domains ()
         in
         (domains, Pool.with_pool ~domains run_cells)

@@ -116,7 +116,8 @@ val run :
   t
 (** Runs the sweep.  [pool] reuses an existing pool (its domain count
     wins); otherwise a fresh pool of [domains] (default
-    {!Pool.recommended_domains}) is created for the call.  [strategies]
+    {!Pool.recommended_domains}) is created for the call, and a count
+    outside [1 .. Pool.max_domains] raises [Invalid_argument].  [strategies]
     defaults to {!Rc_core.Strategies.all_heuristics}; [rows],
     [incremental] (default true — the worklist engine; [false] selects
     the rescan specification paths, producing the same canonical

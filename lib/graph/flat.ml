@@ -537,8 +537,13 @@ let log_op t op =
    engine (Rc_engine.Pool) runs one solver task per domain, and a
    monitor mutating shared audit counters from several domains would
    race.  Each domain installs (and observes) its own monitor; a kernel
-   is only ever touched by the domain that created it (one [Flat.t] per
-   task is the engine contract). *)
+   is only ever mutated by the domain that created it (one [Flat.t] per
+   task is the engine contract).  The one exception is a frozen
+   snapshot — the [Flat.copy] a committed merge state keeps: it is
+   never written after the copy, so several domains may read it at
+   once, through read-only paths that claim no scratch buffer
+   ([to_graph], [compact], [copy], the call-local greedy-k check).
+   None of those fire the monitor. *)
 type event =
   | Checkpointed of checkpoint
   | Rolled_back of checkpoint
@@ -811,13 +816,46 @@ let of_graph ?(rows = Auto) g =
   t.nedges <- Array.fold_left ( + ) 0 t.len / 2;
   t
 
+(* Labels increase with index under every constructor ([create] is the
+   identity, [of_graph] numbers the sorted vertex list, [copy] and
+   [compact] preserve the order), so live rows come out in vertex order
+   and the graph is built in one bulk pass. *)
 let to_graph t =
-  let g = ref Graph.empty in
-  iter_live t (fun v -> g := Graph.add_vertex !g t.labels.(v));
+  let rows = ref [] in
+  for u = t.cap - 1 downto 0 do
+    if is_live t u then
+      rows :=
+        (t.labels.(u), fold_neighbors t u (fun acc v -> t.labels.(v) :: acc) [])
+        :: !rows
+  done;
+  Graph.of_sorted_adjacency !rows
+
+(* [of_graph (to_graph t)] without the persistent detour: live indices
+   are renumbered in label (= index) order, and every row is filled in
+   ascending neighbor order — the order [of_graph]'s [ISet.iter] visits
+   — by pushing [u] onto each neighbor's row while [u] ascends.  Row
+   capacities are the live degrees, so [make_raw] makes the same
+   dense/sparse choice per row as [of_graph]'s degree pre-pass.  Only
+   reads [t]: no scratch buffer, no epoch bump. *)
+let compact ?(rows = Auto) t =
+  let renum = Array.make t.cap (-1) in
+  let labels = Array.make t.nlive 0 in
+  let row_caps = Array.make t.nlive 0 in
+  let n = ref 0 in
+  iter_live t (fun v ->
+      renum.(v) <- !n;
+      labels.(!n) <- t.labels.(v);
+      row_caps.(!n) <- t.len.(v);
+      incr n);
+  let c = make_raw ~rows ~cap:t.nlive ~labels ~row_caps in
   iter_live t (fun u ->
+      let iu = renum.(u) in
       iter_neighbors t u (fun v ->
-          if u < v then g := Graph.add_edge !g t.labels.(u) t.labels.(v)));
-  !g
+          let iv = renum.(v) in
+          if has_matrix c then set_bit1 c iv iu;
+          push_neighbor c iv iu));
+  c.nedges <- t.nedges;
+  c
 
 let copy t =
   {

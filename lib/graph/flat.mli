@@ -30,7 +30,12 @@
     default scales to 10^5-vertex challenge instances.
 
     Mutability discipline: a [Flat.t] is single-owner mutable state.
-    Functions in this library that accept one never retain it. *)
+    Functions in this library that accept one never retain it.  The
+    exception is a {e frozen snapshot}: a {!copy} that nobody writes
+    after it is taken (a committed merge state keeps one).  Several
+    domains may read a frozen snapshot at once, through the paths that
+    claim no scratch buffer: {!to_graph}, {!compact}, {!copy}, the
+    queries and {!Greedy_k.flat_is_greedy_k_colorable_readonly}. *)
 
 type t
 
@@ -75,10 +80,21 @@ val of_graph : ?rows:rows -> Graph.t -> t
     threshold as bitsets directly. *)
 
 val to_graph : t -> Graph.t
-(** Persistent snapshot of the live part, with original labels. *)
+(** Persistent snapshot of the live part, with original labels.  Built
+    in one pass through {!Graph.of_sorted_adjacency}, not one
+    {!Graph.add_edge} per edge.  Read-only. *)
+
+val compact : ?rows:rows -> t -> t
+(** [compact ?rows t] is exactly [of_graph ?rows (to_graph t)], built
+    without the persistent graph: the live indices are renumbered in
+    label order, every row is filled in ascending neighbor order, and
+    each row is born dense or sparse by the same degree test.  Capacity,
+    labels, row contents and their order, and the edge count all match.
+    O(capacity + edges); reads [t] only (no scratch buffer, no epoch
+    change), so it is safe on a frozen snapshot. *)
 
 val copy : t -> t
-(** Independent copy (the undo log is not copied). *)
+(** Independent copy (the undo log is not copied).  Reads [t] only. *)
 
 (** {1 Index mapping} *)
 

@@ -8,7 +8,8 @@ module IMap = Graph.IMap
    push, only the [removed] guard on pop (a vertex that started below k
    never re-enters).
 
-   [deg]/[state] live in the flat graph's scratch buffers; [order]
+   [deg]/[state] live in the flat graph's scratch buffers (or in
+   call-local arrays, for the read-only variant); [order]
    doubles as the worklist: removed vertices are appended at [n_removed]
    while the scan cursor chases it, so the final prefix is exactly the
    elimination order. *)
@@ -20,9 +21,7 @@ let state_removed = 1
    memory read with the degree updates applied straight off the bit
    chain — no per-neighbor closure call survives in either loop. *)
 
-let flat_eliminate f k ~order =
-  let deg = Flat.scratch1 f in
-  let state = Flat.scratch2 f in
+let eliminate_with f k ~deg ~state ~order =
   let n_removed = ref 0 in
   Flat.iter_live f (fun v ->
       deg.(v) <- Flat.degree f v;
@@ -107,9 +106,20 @@ let flat_eliminate f k ~order =
   done;
   !n_removed
 
+let flat_eliminate f k ~order =
+  eliminate_with f k ~deg:(Flat.scratch1 f) ~state:(Flat.scratch2 f) ~order
+
 let flat_is_greedy_k_colorable f k =
   let order = Array.make (max 1 (Flat.capacity f)) 0 in
   flat_eliminate f k ~order = Flat.num_live f
+
+(* Same pass over call-local arrays: [f] is only read, so domains may
+   share a frozen snapshot. *)
+let flat_is_greedy_k_colorable_readonly f k =
+  let n = max 1 (Flat.capacity f) in
+  eliminate_with f k ~deg:(Array.make n 0) ~state:(Array.make n 0)
+    ~order:(Array.make n 0)
+  = Flat.num_live f
 
 let flat_elimination_order f k =
   let order = Array.make (max 1 (Flat.capacity f)) 0 in

@@ -43,10 +43,18 @@ val witness_subgraph : Graph.t -> int -> Graph.ISet.t option
 
 (** {1 Flat-kernel entry points}
 
-    These read the graph but never mutate it; they do claim both scratch
+    These read the graph but never mutate it; except for
+    {!flat_is_greedy_k_colorable_readonly}, they do claim both scratch
     buffers of the {!Flat.t}. *)
 
 val flat_is_greedy_k_colorable : Flat.t -> int -> bool
+
+val flat_is_greedy_k_colorable_readonly : Flat.t -> int -> bool
+(** The same verdict as {!flat_is_greedy_k_colorable}, but the degree,
+    state and worklist arrays are allocated per call: it claims no
+    scratch buffer and writes nothing in the {!Flat.t}.  Several
+    domains may run it at once on one frozen snapshot (the flat graph
+    a committed {!Rc_core.Coalescing} state keeps). *)
 
 val flat_eliminate : Flat.t -> int -> order:int array -> int
 (** Low-level elimination pass behind every probe above: peels

@@ -93,6 +93,31 @@ let test_pool_shutdown () =
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Pool.run pool ~tasks:3 (fun i -> i)))
 
+(* Counts past the runtime's domain limit are refused up front, before
+   any worker is spawned: the refusal leaves nothing half-built, so a
+   sane pool can be made right after. *)
+let test_pool_domain_limit () =
+  let limit = Printf.sprintf "between 1 and %d" Pool.max_domains in
+  let names_limit m =
+    let n = String.length limit in
+    let rec go i =
+      i + n <= String.length m && (String.sub m i n = limit || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun domains ->
+      match Pool.create ~domains with
+      | _ -> Alcotest.failf "Pool.create ~domains:%d accepted" domains
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "message names the limit (%d)" domains)
+            true (names_limit m))
+    [ 200; Pool.max_domains + 1; 0; -3 ];
+  Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check (array int)) "pool after refusal" [| 0; 2; 4 |]
+        (Pool.run pool ~tasks:3 (fun i -> 2 * i)))
+
 (* The sanitizer's audit counters are domain-local on the hot path and
    flushed into process-wide totals at pool join: after a parallel
    run, the audits that happened on worker domains must be visible
@@ -272,6 +297,7 @@ let () =
           Alcotest.test_case "lowest-indexed failure" `Quick
             test_pool_lowest_failure;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          Alcotest.test_case "domain limit" `Quick test_pool_domain_limit;
           Alcotest.test_case "sanitizer counters aggregate at join" `Quick
             test_pool_sanitizer_aggregation;
         ] );

@@ -412,6 +412,191 @@ let test_merge_oracle () =
     assert_agree (what ^ ", start") g st rs;
     ignore (merge_lockstep what rng g vs (2 * n) st rs))
 
+(* ------------------------------------------------------------------ *)
+(* Frozen merge states and Flat.compact                                *)
+(* ------------------------------------------------------------------ *)
+
+module Flat = Rc_graph.Flat
+
+let row_policies seed =
+  [ Flat.Auto; Flat.Sparse_rows; Flat.Bitset_rows; Flat.Matrix;
+    Flat.Threshold (1 + (seed mod 6)) ]
+
+let random_graph seed =
+  let classes = Qcheck_gen.[| Chordal; Gnp; Interval; K_colorable |] in
+  let rng = Random.State.make [| seed; 0xf10e |] in
+  let n = 6 + Random.State.int rng 15 in
+  let g =
+    Qcheck_gen.graph_of_cls rng classes.(seed mod 4) ~n
+      ~density:(0.1 +. Random.State.float rng 0.5)
+  in
+  (rng, g)
+
+(* Field-by-field equality of two kernels: capacity, labels, and per
+   index its liveness, degree, dense/sparse form and row contents in
+   physical order, plus the edge count and (for [Matrix]) membership. *)
+let assert_same_flat what a b =
+  check_int (what ^ ": capacity") (Flat.capacity a) (Flat.capacity b);
+  check_int (what ^ ": num_edges") (Flat.num_edges a) (Flat.num_edges b);
+  check_int (what ^ ": num_live") (Flat.num_live a) (Flat.num_live b);
+  for i = 0 to Flat.capacity a - 1 do
+    let what = Printf.sprintf "%s, index %d" what i in
+    check_int (what ^ ": label") (Flat.label a i) (Flat.label b i);
+    check (what ^ ": live") (Flat.is_live a i) (Flat.is_live b i);
+    check_int (what ^ ": degree") (Flat.degree a i) (Flat.degree b i);
+    check (what ^ ": dense") (Flat.row_is_dense a i) (Flat.row_is_dense b i);
+    if Flat.row_is_dense a i then
+      check (what ^ ": words") true (Flat.row_words a i = Flat.row_words b i)
+    else
+      check (what ^ ": entries") true
+        (Array.sub (Flat.row_entries a i) 0 (Flat.degree a i)
+        = Array.sub (Flat.row_entries b i) 0 (Flat.degree b i));
+    for j = 0 to Flat.capacity a - 1 do
+      check (what ^ ": mem_edge") (Flat.mem_edge a i j) (Flat.mem_edge b i j)
+    done
+  done
+
+(* A random history on a kernel: merges of live non-adjacent indices
+   under nested marks that are rolled back or released, some left
+   open. *)
+let random_history rng f =
+  let marks = ref [] in
+  for _ = 1 to 3 * Flat.capacity f do
+    match Random.State.int rng 6 with
+    | 0 -> marks := Flat.checkpoint f :: !marks
+    | 1 -> (
+        match !marks with
+        | c :: rest ->
+            marks := rest;
+            if Random.State.bool rng then Flat.rollback f c
+            else Flat.release f c
+        | [] -> ())
+    | _ ->
+        let n = Flat.capacity f in
+        let u = Random.State.int rng n and v = Random.State.int rng n in
+        if u <> v && Flat.is_live f u && Flat.is_live f v
+           && not (Flat.mem_edge f u v)
+        then Flat.merge f u v
+  done
+
+let test_flat_compact () =
+  run_seeds ~name:"flat_compact" ~count:200 (fun seed ->
+    let rng, g = random_graph seed in
+    let policies = row_policies seed in
+    let src = List.nth policies (seed mod 5) in
+    let f = Flat.of_graph ~rows:src g in
+    random_history rng f;
+    let epoch = Flat.epoch f in
+    List.iter
+      (fun rows ->
+        let what =
+          Printf.sprintf "seed %d, %s -> %s" seed (Flat.rows_to_string src)
+            (Flat.rows_to_string rows)
+        in
+        let c = Flat.compact ~rows f in
+        Flat.check_invariants c;
+        assert_same_flat what c (Flat.of_graph ~rows (Flat.to_graph f));
+        check_int (what ^ ": source epoch") epoch (Flat.epoch f))
+      policies)
+
+(* States from [commit] and [of_classes], each with its
+   [Merge_reference] twin. *)
+let frozen_states seed rng g vs =
+  let n = Array.length vs in
+  let what = Printf.sprintf "seed %d" seed in
+  let _, rs0 =
+    merge_lockstep what rng g vs n (Coalescing.initial g)
+      (Merge_reference.initial g)
+  in
+  let cls = Merge_reference.classes rs0 in
+  let base, rbase =
+    merge_lockstep what rng g vs (n / 2) (Coalescing.initial g)
+      (Merge_reference.initial g)
+  in
+  let spec =
+    Coalescing.Speculation.of_state
+      ~rows:(List.nth (row_policies seed) (seed mod 5))
+      base
+  in
+  let burst () =
+    for _ = 1 to n do
+      let u, v = random_pair rng vs in
+      ignore (Coalescing.Speculation.merge spec u v)
+    done
+  in
+  burst ();
+  let log = Coalescing.Speculation.merge_log spec in
+  let committed = Coalescing.Speculation.commit spec in
+  (* Keep driving the spec after the commit: merges, then a rollback
+     to a mark taken after them and one to a mark taken before.  None
+     of it may reach the committed state. *)
+  let m = Coalescing.Speculation.mark spec in
+  burst ();
+  let m' = Coalescing.Speculation.mark spec in
+  burst ();
+  Coalescing.Speculation.rollback spec m';
+  burst ();
+  Coalescing.Speculation.rollback spec m;
+  burst ();
+  [
+    ("of_classes", Coalescing.of_classes g cls, Merge_reference.of_classes g cls);
+    ("commit", committed, Merge_reference.replay rbase log);
+  ]
+
+let test_frozen_state () =
+  run_seeds ~name:"frozen_state" ~count:200 (fun seed ->
+    let rng, g = random_graph seed in
+    let vs = Array.of_list (G.vertices g) in
+    List.iter
+      (fun (how, st, (rs : Merge_reference.state)) ->
+        let what = Printf.sprintf "seed %d, %s" seed how in
+        let snap =
+          match Coalescing.snapshot st with
+          | Some f -> f
+          | None -> Alcotest.failf "%s: state is not frozen" what
+        in
+        let epoch = Flat.epoch snap and before = Flat.to_graph snap in
+        let unchanged step =
+          check_int (what ^ ": epoch after " ^ step) epoch (Flat.epoch snap);
+          check (what ^ ": snapshot after " ^ step) true
+            (G.equal before (Flat.to_graph snap))
+        in
+        check (what ^ ": snapshot = reference") true (G.equal before rs.graph);
+        (* Every k from 1 to one past the maximum degree, so both
+           verdicts occur. *)
+        let ks =
+          List.init
+            (2 + G.fold_vertices (fun v m -> max m (G.degree rs.graph v)) rs.graph 0)
+            succ
+        in
+        let verdicts =
+          List.map
+            (fun k ->
+              let p = Problem.make ~graph:g ~affinities:[] ~k in
+              Coalescing.is_conservative p (Coalescing.solution_of_state p st))
+            ks
+        in
+        unchanged "is_conservative";
+        List.iter
+          (fun rows ->
+            let spec = Coalescing.Speculation.of_state ~rows st in
+            for _ = 1 to Array.length vs do
+              let u, v = random_pair rng vs in
+              ignore (Coalescing.Speculation.merge spec u v)
+            done)
+          (row_policies seed);
+        unchanged "of_state";
+        assert_agree what g st rs;
+        unchanged "graph";
+        List.iter2
+          (fun k verdict ->
+            check
+              (Printf.sprintf "%s: is_conservative k=%d" what k)
+              (Greedy_k.is_greedy_k_colorable (Coalescing.graph st) k)
+              verdict)
+          ks verdicts)
+      (frozen_states seed rng g vs))
+
 let () =
   Alcotest.run "rc_search_equiv"
     [
@@ -441,5 +626,12 @@ let () =
         [
           Alcotest.test_case "merge = full-rewrite reference (200 seeds)" `Quick
             test_merge_oracle;
+          Alcotest.test_case "frozen states = reference (200 seeds)" `Quick
+            test_frozen_state;
+        ] );
+      ( "flat",
+        [
+          Alcotest.test_case "compact = of_graph . to_graph (200 seeds)" `Quick
+            test_flat_compact;
         ] );
     ]
