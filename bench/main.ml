@@ -19,7 +19,7 @@ module G = Rc_graph.Graph
 let quick = Array.exists (( = ) "quick") Sys.argv
 
 (* [--json FILE] writes the timing trajectory (every ns/run estimate
-   plus the derived old-vs-new speedups) as a JSON document. *)
+   plus the derived speedup and overhead ratios) as a JSON document. *)
 let json_file =
   let r = ref None in
   Array.iteri
@@ -99,78 +99,23 @@ let report_speedup rows ~what ~old_label ~new_label =
   | _ -> Format.printf "  speedup %-39s (no estimate)@." what
 
 (* ------------------------------------------------------------------ *)
-(* K0: flat kernel vs the persistent-map code paths                    *)
+(* K2: release-profile cost of certifying a coalescing answer          *)
 (* ------------------------------------------------------------------ *)
 
-let k0_flat_kernels () =
-  section
-    "K0 | flat kernel vs persistent-map kernels (old vs new code path)";
-  let rng = Random.State.make [| 2007 |] in
-  let g = Rc_graph.Generators.gnp rng ~n:2000 ~p:0.01 in
-  let f = Rc_graph.Flat.of_graph g in
-  (* k = col(G): the elimination scheme then empties the graph, which is
-     the most work either path can do. *)
-  let k = Rc_graph.Greedy_k.coloring_number g in
-  Format.printf "gnp ~n:2000 ~p:0.01: %d vertices, %d edges, col(G) = %d@."
-    (G.num_vertices g) (G.num_edges g) k;
-  let rows =
-    run_bench ~name:"K0 kernels"
-      [
-        Test.make ~name:"greedy-k/old-imap"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.Reference.is_greedy_k_colorable g k));
-        Test.make ~name:"greedy-k/new-flat+convert"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.is_greedy_k_colorable g k));
-        Test.make ~name:"greedy-k/new-flat-kernel"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.flat_is_greedy_k_colorable f k));
-        Test.make ~name:"smallest-last/old-imap"
-          (Staged.stage (fun () ->
-               Rc_graph.Greedy_k.Reference.smallest_last_order g));
-        Test.make ~name:"smallest-last/new-flat"
-          (Staged.stage (fun () -> Rc_graph.Greedy_k.smallest_last_order g));
-        Test.make ~name:"chordality/old-hashtbl"
-          (Staged.stage (fun () -> Rc_graph.Chordal.Reference.is_chordal g));
-        Test.make ~name:"chordality/new-flat"
-          (Staged.stage (fun () -> Rc_graph.Chordal.is_chordal g));
-      ]
-  in
-  Format.printf "@.";
-  report_speedup rows ~what:"greedy-k elimination (flat vs imap)"
-    ~old_label:"greedy-k/old-imap" ~new_label:"greedy-k/new-flat-kernel";
-  report_speedup rows ~what:"greedy-k end-to-end (incl. of_graph)"
-    ~old_label:"greedy-k/old-imap" ~new_label:"greedy-k/new-flat+convert";
-  report_speedup rows ~what:"smallest-last" ~old_label:"smallest-last/old-imap"
-    ~new_label:"smallest-last/new-flat";
-  report_speedup rows ~what:"chordality (MCS + PEO check)"
-    ~old_label:"chordality/old-hashtbl" ~new_label:"chordality/new-flat"
+(* The Rc_check.Certify layer re-derives everything (quotient graph,
+   affinity split, removed weight, greedy-k-colorability of the merged
+   graph) from the Problem and the answer, on the persistent Reference
+   kernels.  This section measures that price in the release profile:
+   solve alone, solve + certify, and certify alone — the overhead ratio
+   (solve+certify / solve) is the number quoted in DESIGN.md for
+   running every search under certification.
 
-(* ------------------------------------------------------------------ *)
-(* K1: merge-heavy searches on the speculation context vs the          *)
-(* persistent-graph Reference paths                                    *)
-(* ------------------------------------------------------------------ *)
+   The instance is a sparse random graph at tight k = col(G), where
+   merges frequently break greedy-k-colorability, so the brute-force
+   rule probes many merges and the certifier has a non-trivial merged
+   graph to re-derive. *)
 
-(* Each search is timed on the workload its speculation is for — an
-   instance that actually forces merge-heavy exploration.  (On
-   instances where the search terminates after one colorability check,
-   both code paths degenerate to that check and the ratio is ~1.)
-
-   - exact: a sparse random graph at tight k = col(G), where merges
-     frequently break greedy-k-colorability, so the branch-and-bound
-     explores deep with a leaf test per branch;
-   - optimistic: a Theorem 6 vertex-cover gadget, built so that
-     aggressive coalescing always breaks greedy-4-colorability and the
-     de-coalescing loop must split one class per uncovered vertex;
-   - set-2: disjoint copies of the Figure 3 (right) gadget — singleton
-     coalescing is stuck by construction, so the whole search happens
-     in the size-2 set probes.  The weights are graded so the heavy
-     halves of distinct copies pair up first in the by-weight
-     enumeration: all those probes fail, which is exactly the
-     merge-speculate-rollback traffic the set search generates on
-     instances needing simultaneous coalescing. *)
-
-let k1_exact_instance () =
+let k2_instance () =
   let rng = Random.State.make [| 1; 888 |] in
   let g = Rc_graph.Generators.gnp rng ~n:80 ~p:0.06 in
   let k = max 2 (Rc_graph.Greedy_k.coloring_number g) in
@@ -186,81 +131,9 @@ let k1_exact_instance () =
   done;
   Rc_core.Problem.make ~graph:g ~affinities:!affinities ~k
 
-let k1_optimistic_instance () =
-  let rng = Random.State.make [| 77 |] in
-  let src =
-    Rc_graph.Generators.random_bounded_degree rng ~n:16 ~max_degree:3 ~edges:20
-  in
-  (Rc_reductions.Thm6_optimistic.build src).problem
-
-let k1_set_instance () =
-  let base = Rc_reductions.Figures.fig3_pairwise () in
-  let copies = 12 in
-  let g = ref G.empty in
-  let affs = ref [] in
-  for c = 0 to copies - 1 do
-    let off = c * 7 in
-    G.fold_edges (fun u v () -> g := G.add_edge !g (u + off) (v + off))
-      base.graph ();
-    List.iteri
-      (fun i (a : Rc_core.Problem.affinity) ->
-        let w = if i = 0 then 10 + c else 1 in
-        affs := ((a.u + off, a.v + off), w) :: !affs)
-      base.affinities
-  done;
-  Rc_core.Problem.make ~graph:!g ~affinities:!affs ~k:3
-
-let k1_search_drivers () =
-  section
-    "K1 | merge-heavy searches: speculation context vs persistent rebuilds";
-  let p_exact = k1_exact_instance () in
-  let p_opt = k1_optimistic_instance () in
-  let p_set = k1_set_instance () in
-  Format.printf "exact (sparse gnp):     %s@." (Rc_core.Problem.stats p_exact);
-  Format.printf "optimistic (thm6):      %s@." (Rc_core.Problem.stats p_opt);
-  Format.printf "set-2 (fig3b x12):      %s@." (Rc_core.Problem.stats p_set);
-  let rows =
-    run_bench ~name:"K1 searches"
-      [
-        Test.make ~name:"exact/old-persistent"
-          (Staged.stage (fun () -> Rc_core.Exact.Reference.conservative p_exact));
-        Test.make ~name:"exact/new-flat"
-          (Staged.stage (fun () -> Rc_core.Exact.conservative p_exact));
-        Test.make ~name:"optimistic/old-persistent"
-          (Staged.stage (fun () -> Rc_core.Optimistic.Reference.coalesce p_opt));
-        Test.make ~name:"optimistic/new-flat"
-          (Staged.stage (fun () -> Rc_core.Optimistic.coalesce p_opt));
-        Test.make ~name:"set-2/old-persistent"
-          (Staged.stage (fun () ->
-               Rc_core.Set_coalescing.Reference.coalesce ~max_set:2 p_set));
-        Test.make ~name:"set-2/new-flat"
-          (Staged.stage (fun () ->
-               Rc_core.Set_coalescing.coalesce ~max_set:2 p_set));
-      ]
-  in
-  Format.printf "@.";
-  report_speedup rows ~what:"exact branch-and-bound"
-    ~old_label:"exact/old-persistent" ~new_label:"exact/new-flat";
-  report_speedup rows ~what:"optimistic coalescing"
-    ~old_label:"optimistic/old-persistent" ~new_label:"optimistic/new-flat";
-  report_speedup rows ~what:"set coalescing (max_set = 2)"
-    ~old_label:"set-2/old-persistent" ~new_label:"set-2/new-flat"
-
-(* ------------------------------------------------------------------ *)
-(* K2: release-profile cost of certifying a coalescing answer          *)
-(* ------------------------------------------------------------------ *)
-
-(* The Rc_check.Certify layer re-derives everything (quotient graph,
-   affinity split, removed weight, greedy-k-colorability of the merged
-   graph) from the Problem and the answer, on the persistent Reference
-   kernels.  This section measures that price in the release profile:
-   solve alone, solve + certify, and certify alone, on the K1 exact
-   instance — the overhead ratio (solve+certify / solve) is the number
-   quoted in DESIGN.md for running every search under certification. *)
-
 let k2_certification () =
   section "K2 | result certification overhead (release profile)";
-  let p = k1_exact_instance () in
+  let p = k2_instance () in
   Format.printf "instance: %s@." (Rc_core.Problem.stats p);
   let solve () = Rc_core.Conservative.coalesce Rc_core.Conservative.Brute_force p in
   let sol = solve () in
@@ -474,24 +347,25 @@ let k4_parallel_sweep () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* K5: incremental rule engine vs rescan fixpoint                      *)
+(* K5: the incremental rule engine and its verdict cache               *)
 (* ------------------------------------------------------------------ *)
 
-(* PR 6 replaced the rescan-every-pass conservative fixpoints with the
-   worklist engine: degree-bucketed dirtiness, per-affinity verdict
-   stamps with invalidate-on-merge, residue witnesses for brute-force
-   rejections, and the incremental elimination order answering the
-   brute probes.  Both paths produce the identical merge trajectory
-   (locked by test_incremental); this section measures what the
-   equivalence costs, on the challenge synthetic family the 10^5 sweep
-   runs: the george-family stamped rules (Briggs+George probe batches)
-   and the brute-force rule whose per-probe full eliminations used to
-   cap the sweep.  Seconds-long batches, timed directly like K4.  The
-   cache counters are printed so a hit-starved run (a regression in the
-   invalidation granularity) is visible, not just slow. *)
+(* The conservative fixpoints run on the worklist engine:
+   degree-bucketed dirtiness, per-affinity verdict stamps with
+   invalidate-on-merge, residue witnesses for brute-force rejections,
+   and the incremental elimination order answering the brute probes.
+   Its merge trajectory is the rescan loop's (locked by
+   test_incremental against the oracle in test/rescan.ml; the last
+   engine-vs-rescan timings are frozen in EXPERIMENTS.md).  This
+   section times the engine on the challenge synthetic family the 10^5
+   sweep runs — the Briggs+George stamped rules and the brute-force
+   rule — and measures what the stamp cache buys on a probe batch.
+   Seconds-long batches, timed directly like K4.  The cache counters
+   are printed so a hit-starved run (a regression in the invalidation
+   granularity) is visible, not just slow. *)
 
 let k5_incremental_engine () =
-  section "K5 | incremental rule engine vs rescan fixpoint (challenge family)";
+  section "K5 | incremental rule engine and verdict cache (challenge family)";
   let bf = Rc_core.Conservative.Brute_force
   and bg = Rc_core.Conservative.Briggs_george in
   let rule_tag r = if r = bf then "brute-force" else "briggs+george" in
@@ -528,22 +402,8 @@ let k5_incremental_engine () =
             in
             (stats, Rc_core.Coalescing.coalesced_weight sol))
       in
-      let rescan_weight, t_res =
-        time (fun () ->
-            let sol =
-              Rc_core.Conservative.coalesce ~incremental:false rule p
-            in
-            Rc_core.Coalescing.coalesced_weight
-              (Rc_core.Coalescing.solution_of_state p sol.Rc_core.Coalescing.state))
-      in
-      if inc_weight <> rescan_weight then
-        failwith
-          (Printf.sprintf "K5: %s n=%d: incremental %d <> rescan %d"
-             (rule_tag rule) n inc_weight rescan_weight);
-      Format.printf
-        "%s n=%d: incremental %8.3f s, rescan %8.3f s  (same answer, weight \
-         %d)@."
-        (rule_tag rule) n t_inc t_res inc_weight;
+      Format.printf "%s n=%d: engine %8.3f s  (weight %d)@."
+        (rule_tag rule) n t_inc inc_weight;
       Format.printf
         "  cache: %d hits, %d misses, %d invalidations, %d witness hits, %d \
          witness drops@."
@@ -556,7 +416,6 @@ let k5_incremental_engine () =
         !all_rows
         @ [
             ("k5/incremental/" ^ tag, t_inc *. 1e9);
-            ("k5/rescan/" ^ tag, t_res *. 1e9);
             ( "k5/cache-hits/" ^ tag,
               float_of_int stats.Rc_core.Rule_cache.hits );
             ( "k5/cache-misses/" ^ tag,
@@ -564,11 +423,6 @@ let k5_incremental_engine () =
             ( "k5/cache-invalidations/" ^ tag,
               float_of_int stats.Rc_core.Rule_cache.invalidations );
           ];
-      if t_inc > 0. then begin
-        let ratio = t_res /. t_inc in
-        Format.printf "  speedup %-39s %11.1fx@." tag ratio;
-        derived := !derived @ [ ("speedup:k5 " ^ tag, ratio) ]
-      end;
       (* Steady-state rule-probe batch (george family).  End-to-end the
          worklist already avoids re-visiting clean affinities, so the
          engine run above shows few cache hits; the hits pay off on the
@@ -1397,7 +1251,9 @@ let e11_challenge () =
              Some
                (Test.make ~name:(Rc_core.Strategies.name s)
                   (Staged.stage (fun () ->
-                       ignore (Rc_core.Strategies.run s inst.problem)))))
+                       ignore
+                         (Rc_core.Strategies.(run_cfg default_config)
+                            s inst.problem)))))
        Rc_core.Strategies.all_heuristics))
 
 (* ------------------------------------------------------------------ *)
@@ -1444,7 +1300,8 @@ let e12_quality_gap () =
     List.iter
       (fun s ->
         let w =
-          Rc_core.Coalescing.coalesced_weight (Rc_core.Strategies.run s p)
+          Rc_core.Coalescing.coalesced_weight
+            (Rc_core.Strategies.(run_cfg default_config) s p)
         in
         let name = Rc_core.Strategies.name s in
         Hashtbl.replace totals name
@@ -1500,7 +1357,7 @@ let e13_scaling () =
       in
       let t_thm5 =
         time (fun () ->
-            Rc_core.Strategies.run Rc_core.Strategies.Chordal_incremental p)
+            Rc_core.Strategies.(run_cfg default_config Chordal_incremental) p)
       in
       Format.printf "%12d %14.4f %16.4f %14.4f@."
         (List.length p.affinities) t_exact t_bf t_thm5)
@@ -1742,8 +1599,6 @@ let () =
   Format.printf
     "Register-coalescing complexity reproduction — benchmark harness@.";
   Format.printf "(paper: Bouchez, Darte, Rastello, CGO 2007; see DESIGN.md)@.";
-  k0_flat_kernels ();
-  k1_search_drivers ();
   k2_certification ();
   k3_bitset_density ();
   k4_parallel_sweep ();
@@ -1768,21 +1623,5 @@ let () =
   a2_set_coalescing ();
   a3_lowering ();
   a4_decoalescing_scoring ();
-  (* DBG e1_theorem1 *)
-  (* DBG e4_thm2 *)
-  (* DBG e5_thm3 *)
-  (* DBG e6_thm4 *)
-  (* DBG e8_thm6 *)
-  (* DBG reductions_bench *)
-  (* DBG e7_chordal_incremental *)
-  (* DBG e11_challenge *)
-  (* DBG e12_quality_gap *)
-  (* DBG e13_scaling *)
-  (* DBG e14_regalloc *)
-  (* DBG e15_aggressive_spills *)
-  (* DBG a1_biased_coloring *)
-  (* DBG a2_set_coalescing *)
-  (* DBG a3_lowering *)
-  (* DBG a4_decoalescing_scoring *)
   (match json_file with Some f -> emit_json f | None -> ());
   Format.printf "@.done.@."

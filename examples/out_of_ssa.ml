@@ -66,7 +66,9 @@ let () =
   Format.printf "%s@." (Rc_core.Problem.stats problem);
   List.iter
     (fun s ->
-      let r = Rc_core.Strategies.evaluate s problem in
+      let r =
+        Rc_core.Strategies.(evaluate_cfg default_config) s problem
+      in
       Format.printf "  %a@." Rc_core.Strategies.pp_report r)
     [
       Rc_core.Strategies.Conservative Rc_core.Conservative.Briggs;

@@ -47,7 +47,9 @@ let () =
   Format.printf "@.strategy comparison:@.";
   List.iter
     (fun s ->
-      let r = Rc_core.Strategies.evaluate s problem in
+      let r =
+        Rc_core.Strategies.(evaluate_cfg default_config) s problem
+      in
       Format.printf "  %a@." Rc_core.Strategies.pp_report r)
     (Rc_core.Strategies.all_heuristics @ [ Rc_core.Strategies.Exact_conservative ]);
 

@@ -209,7 +209,8 @@ let leaderboard strategies instances =
     let reports =
       List.map
         (fun (inst : instance) ->
-          Rc_core.Strategies.evaluate strategy inst.problem)
+          Rc_core.Strategies.(evaluate_cfg default_config) strategy
+            inst.problem)
         instances
     in
     let fractions =

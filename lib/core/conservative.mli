@@ -19,7 +19,6 @@ val rule_name : rule -> string
 
 val coalesce :
   ?rows:Rc_graph.Flat.rows ->
-  ?incremental:bool ->
   rule ->
   Problem.t ->
   Coalescing.solution
@@ -27,14 +26,10 @@ val coalesce :
     decreasing weight; an affinity is coalesced when the rule accepts it
     on the current graph; rejected affinities are retried after every
     successful merge until a fixpoint (merging lowers degrees and can
-    enable previously rejected tests).
-
-    [?incremental] (default true) runs the fixpoint on the
-    {!Engine} — per-pass work proportional to the affinities whose
-    verdict could have changed, instead of a full rescan — producing
-    the identical merge sequence (the differential tests lock this).
-    [false] keeps the original rescan loop as the executable
-    specification.
+    enable previously rejected tests).  The fixpoint runs on the
+    {!Engine}: per-pass work proportional to the affinities whose
+    verdict could have changed, instead of a full rescan, with the
+    identical merge sequence.
 
     Prefer {!Strategies.run_cfg} for new call sites: the [?rows]
     optional argument here (and on {!coalesce_state}) is the [rows]
@@ -43,7 +38,6 @@ val coalesce :
 
 val coalesce_state :
   ?rows:Rc_graph.Flat.rows ->
-  ?incremental:bool ->
   rule ->
   k:int ->
   Coalescing.state ->
@@ -54,22 +48,14 @@ val coalesce_state :
     picks the speculation mirror's row representation (bench and
     differential tests); the result is representation-independent. *)
 
-val coalesce_spec :
-  rule ->
-  k:int ->
-  Coalescing.Speculation.spec ->
-  Problem.affinity list ->
-  unit
-(** The rescan worklist loop on an existing speculation context,
-    mutating it in place (no commit) — the executable specification the
-    differential tests hold {!Engine} to, and the [incremental:false]
-    code path. *)
-
 (** {1 The incremental engine}
 
-    The same fixpoint as {!coalesce_spec} — identical merge sequence,
-    pass for pass — computed without the rescans: a {!Rule_cache}
-    tracks exactly which affinities could have changed verdict since
+    Section 4's fixpoint — retry the open affinities by decreasing
+    weight until a pass merges nothing — with the merge sequence of the
+    literal rescan loop, pass for pass, computed without the rescans.
+    That loop is the executable specification the test suite holds the
+    engine to ([test/rescan.ml]); it is not part of the library.  A
+    {!Rule_cache} tracks exactly which affinities could have changed verdict since
     their last rejection (generation stamps for the local rules,
     residue witnesses for brute force), and each pass visits only
     those.  Searches that own a long-lived speculation context

@@ -132,9 +132,8 @@ let incremental (p : Problem.t) x y =
     | Some st -> Coloring.k_colorable (Coalescing.graph st) p.k <> None
 
 (* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph search, kept verbatim as the
-   baseline for the differential test suite (test_search_equiv) and the
-   old-vs-new benchmark trajectory (bench K1, BENCH_*.json).  Each
+(* Reference: the persistent-graph search, the test suite's oracle
+   (test_search_equiv holds the flat search to it).  Each
    probe allocates a persistent [Coalescing.merge] (graph surgery plus
    a representative-map update); the flat path above replaces both
    with checkpointed mutations.                                        *)

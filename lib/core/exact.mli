@@ -86,8 +86,8 @@ val incremental : Problem.t -> Rc_graph.Graph.vertex -> Rc_graph.Graph.vertex ->
 
     The pre-speculation code path on the persistent {!Coalescing.state}
     representation (one persistent [Coalescing.merge] per probe), kept
-    as the baseline for the differential test suite and the old-vs-new
-    benchmark trajectory ([bench --json]). *)
+    as the test suite's oracle: the differential suite holds the flat
+    search to it.  No production path calls it. *)
 
 module Reference : sig
   val aggressive : Problem.t -> Coalescing.solution

@@ -4,7 +4,7 @@
     more importantly for the domain-parallel sweep engine, it charges a
     task for every scheduling gap between its two clock reads.
     [CLOCK_MONOTONIC] never steps backwards and is the clock every
-    timing report in this repo ({!Strategies.evaluate}, the sweep
+    timing report in this repo ({!Strategies.evaluate_cfg}, the sweep
     engine, bench section K4) is measured on. *)
 
 val now_ns : unit -> int64

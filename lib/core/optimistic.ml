@@ -137,7 +137,7 @@ let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
      persistent rebuild would pick). *)
   if !splits = 0 then st else Coalescing.of_classes p.graph classes
 
-let coalesce ?rows ?scoring ?incremental (p : Problem.t) =
+let coalesce ?rows ?scoring (p : Problem.t) =
   if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
     invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
   (* Phase 1: aggressive. *)
@@ -151,15 +151,15 @@ let coalesce ?rows ?scoring ?incremental (p : Problem.t) =
       p.affinities
   in
   let st =
-    Conservative.coalesce_state ?rows ?incremental Conservative.Brute_force
+    Conservative.coalesce_state ?rows Conservative.Brute_force
       ~k:p.k st open_affinities
   in
   Coalescing.solution_of_state p st
 
 (* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph de-coalescing loop, kept verbatim as
-   the baseline for the differential test suite and the old-vs-new
-   benchmark trajectory.  Every iteration rebuilds the whole merge
+(* Reference: the persistent-graph de-coalescing loop, the test
+   suite's oracle (test_search_equiv holds the flat loop to it).  Every
+   iteration rebuilds the whole merge
    state from its classes and re-derives the witness residue on the
    persistent representation.                                          *)
 (* ------------------------------------------------------------------ *)

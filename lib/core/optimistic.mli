@@ -24,20 +24,16 @@ type scoring =
 val coalesce :
   ?rows:Rc_graph.Flat.rows ->
   ?scoring:scoring ->
-  ?incremental:bool ->
   Problem.t ->
   Coalescing.solution
 (** Requires the input graph to be greedy-k-colorable; raises
     [Invalid_argument] otherwise (the de-coalescing loop could not
-    terminate on an uncolorable base graph).  [?incremental] (default
-    true) selects the {!Conservative.Engine} for the phase-3
-    re-coalescing fixpoint.
+    terminate on an uncolorable base graph).  The phase-3 re-coalescing
+    fixpoint runs on the {!Conservative.Engine}.
 
-    Prefer {!Strategies.run_cfg} for new call sites: the scattered
-    optional arguments of the individual searches ([?scoring] here,
-    [?rows], [?max_set]) are folded into one {!Strategies.config}
-    record there; this entry point stays as the primitive the
-    dispatcher calls. *)
+    {!Strategies.run_cfg} calls this primitive with the default
+    [?scoring] and the config's [rows]; the other scorings are for the
+    victim-scoring ablation and the tests. *)
 
 val decoalesce_greedy :
   ?rows:Rc_graph.Flat.rows ->
@@ -53,10 +49,10 @@ val decoalesce_greedy :
 
 (** {1 Reference implementation}
 
-    The pre-speculation code path, kept as the baseline for the
-    differential test suite and the old-vs-new benchmark trajectory
-    ([bench --json]): every de-coalescing iteration rebuilds the merge
-    state from its classes on the persistent representation. *)
+    The pre-speculation code path, kept as the test suite's oracle (the
+    differential suite holds the flat loop to it; no production path
+    calls it): every de-coalescing iteration rebuilds the merge state
+    from its classes on the persistent representation. *)
 
 module Reference : sig
   val coalesce : ?scoring:scoring -> Problem.t -> Coalescing.solution

@@ -57,45 +57,10 @@ let try_set ~k spec set =
     false
   end
 
-(* The rescan search: singleton fixpoints via the rescan loop, pair
-   candidates by full enumeration.  Kept as the executable
-   specification for the incremental path below. *)
-let coalesce_rescan ?rows ~max_set (p : Problem.t) =
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
-  let open_affinities () =
-    List.filter
-      (fun (a : Problem.affinity) -> not (Spec.same_class spec a.u a.v))
-      p.affinities
-  in
-  (* Singleton fixpoint = brute-force conservative coalescing. *)
-  let singles () =
-    Conservative.coalesce_spec Conservative.Brute_force ~k:p.k spec
-      (open_affinities ())
-  in
-  let rec grow size =
-    if size <= max_set then
-      let candidates = subsets_by_weight size (open_affinities ()) in
-      let rec try_all = function
-        | [] -> grow (size + 1)
-        | set :: rest ->
-            if try_set ~k:p.k spec set then begin
-              (* a set succeeded: re-run singles, restart from size 2 *)
-              singles ();
-              grow 2
-            end
-            else try_all rest
-      in
-      try_all candidates
-  in
-  singles ();
-  grow 2;
-  Coalescing.solution_of_state p (Spec.commit spec)
-
-(* ------------------------------------------------------------------ *)
-(* The incremental search                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same search, two structural savings:
+(* The search is the literal one — singleton fixpoint, then sets of 2,
+   3, ... by decreasing combined weight, restarting from singletons
+   after every set hit (the rescan form is the test suite's oracle,
+   test/rescan.ml) — with two structural savings:
 
    1. The singleton fixpoint is one persistent {!Conservative.Engine}
       over the search's speculation context instead of a fresh rescan
@@ -126,7 +91,8 @@ let coalesce_rescan ?rows ~max_set (p : Problem.t) =
       cache movelists of R_x ∪ {roots of x}: work proportional to the
       affinities actually rooted near the witness, not to all open
       pairs.  Sizes >= 3 keep the generic enumeration. *)
-let coalesce_incremental ?rows ~max_set (p : Problem.t) =
+let coalesce ?rows ?(max_set = 2) (p : Problem.t) =
+  if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
   let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
   let engine =
     Conservative.Engine.create Conservative.Brute_force ~k:p.k spec
@@ -262,11 +228,6 @@ let coalesce_incremental ?rows ~max_set (p : Problem.t) =
   grow 2;
   Coalescing.solution_of_state p (Spec.commit spec)
 
-let coalesce ?rows ?(max_set = 2) ?(incremental = true) (p : Problem.t) =
-  if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
-  if incremental then coalesce_incremental ?rows ~max_set p
-  else coalesce_rescan ?rows ~max_set p
-
 let transitive_closure_affinities (p : Problem.t) =
   let by_vertex = Hashtbl.create 16 in
   List.iter
@@ -311,9 +272,9 @@ let transitive_closure_affinities (p : Problem.t) =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Reference: the persistent-graph set search, kept verbatim as the
-   baseline for the differential test suite and the old-vs-new
-   benchmark trajectory.  Every probed candidate set folds persistent
+(* Reference: the persistent-graph set search, the test suite's oracle
+   (test_search_equiv holds the speculation search to it).  Every
+   probed candidate set folds persistent
    [Coalescing.merge]s (each a fresh persistent state) and every
    singleton pass rebuilds a fresh flat mirror of the current state.   *)
 (* ------------------------------------------------------------------ *)

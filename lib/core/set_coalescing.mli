@@ -13,25 +13,23 @@
     paper suggests). *)
 
 val coalesce :
-  ?rows:Rc_graph.Flat.rows -> ?max_set:int -> ?incremental:bool ->
-  Problem.t -> Coalescing.solution
+  ?rows:Rc_graph.Flat.rows -> ?max_set:int -> Problem.t -> Coalescing.solution
 (** Runs the brute-force singleton pass to a fixpoint, then tries sets
     of 2, 3, ... up to [max_set] (default 2) open affinities by
     decreasing combined weight, restarting from singletons after each
     successful set merge.  The result is always conservative.
     Exponential in [max_set] only (the set enumeration is
-    O(m^max_set)).
+    O(m^max_set)); [Invalid_argument] when [max_set < 1].
 
-    [?incremental] (default true) runs the singleton fixpoints through
-    one persistent {!Conservative.Engine} and prunes the size-2
-    enumeration with cached interference/witness facts; the search
-    trajectory — and hence the result — is identical to the rescan
-    specification path ([incremental:false]).
+    The singleton fixpoints run through one persistent
+    {!Conservative.Engine}, and the size-2 enumeration is pruned with
+    its cached interference/witness facts; the search trajectory — and
+    hence the result — is that of the literal rescan search.
 
-    Prefer {!Strategies.run_cfg} for new call sites: [?max_set] and
-    [?rows] are the [max_set]/[rows] fields of {!Strategies.config}
-    there; this entry point stays as the primitive the dispatcher
-    calls. *)
+    Prefer {!Strategies.run_cfg} for new call sites:
+    [Set_conservative n] there is [~max_set:n] here and the config's
+    [rows] field is [?rows]; this entry point stays as the primitive
+    the dispatcher calls. *)
 
 val subsets_by_weight :
   int -> Problem.affinity list -> Problem.affinity list list
@@ -50,9 +48,9 @@ val transitive_closure_affinities : Problem.t -> Problem.affinity list
 
 (** {1 Reference implementation}
 
-    The pre-speculation code path, kept as the baseline for the
-    differential test suite and the old-vs-new benchmark trajectory
-    ([bench --json]): set probes fold persistent merges and every
+    The pre-speculation code path, kept as the test suite's oracle (the
+    differential suite holds the primary search to it; no production
+    path calls it): set probes fold persistent merges and every
     singleton pass rebuilds a fresh flat mirror, where the primary path
     above keeps the entire search on one
     {!Coalescing.Speculation} context. *)

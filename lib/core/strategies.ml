@@ -82,26 +82,13 @@ type dispatch = Direct | Static_profile
 
 type config = {
   rows : Rc_graph.Flat.rows option;
-  scoring : Optimistic.scoring;
-  max_set : int;
-  incremental : bool;
   check : check_level;
-  seed : int;
   dispatch : dispatch;
   backend : string option;
 }
 
 let default_config =
-  {
-    rows = None;
-    scoring = Optimistic.Degree_per_weight;
-    max_set = 2;
-    incremental = true;
-    check = No_check;
-    seed = 0;
-    dispatch = Direct;
-    backend = None;
-  }
+  { rows = None; check = No_check; dispatch = Direct; backend = None }
 
 (* ------------------------------------------------------------------ *)
 (* The solver-backend registry.  It replaces the old
@@ -246,7 +233,6 @@ let run_cfg cfg strategy (p : Problem.t) =
   | No_check -> ()
   | Validate_input | Assert_conservative -> validate_input p);
   let rows = cfg.rows in
-  let incremental = cfg.incremental in
   let sol =
     match cfg.dispatch with
     | Static_profile -> (
@@ -262,15 +248,12 @@ let run_cfg cfg strategy (p : Problem.t) =
                Rc_analysis.Dispatch.install first)")
     | Direct -> (
         match strategy with
-    | Aggressive -> Aggressive.coalesce p
-    | Conservative r -> Conservative.coalesce ?rows ~incremental r p
-    | Irc r -> (Irc.allocate ~rule:r p).solution
-    | Optimistic ->
-        Optimistic.coalesce ?rows ~scoring:cfg.scoring ~incremental p
-    | Chordal_incremental -> run_chordal_incremental ?rows p
-        | Set_conservative n ->
-            let max_set = if n >= 1 then n else cfg.max_set in
-            Set_coalescing.coalesce ?rows ~max_set ~incremental p
+        | Aggressive -> Aggressive.coalesce p
+        | Conservative r -> Conservative.coalesce ?rows r p
+        | Irc r -> (Irc.allocate ~rule:r p).solution
+        | Optimistic -> Optimistic.coalesce ?rows p
+        | Chordal_incremental -> run_chordal_incremental ?rows p
+        | Set_conservative n -> Set_coalescing.coalesce ?rows ~max_set:n p
         | Exact_conservative ->
             run_backend cfg strategy (Option.value cfg.backend ~default:"bb") p
         | Exact_backend b -> run_backend cfg strategy b p)
@@ -285,8 +268,6 @@ let run_cfg cfg strategy (p : Problem.t) =
            (name strategy))
   | _ -> ());
   sol
-
-let run strategy p = run_cfg default_config strategy p
 
 type report = {
   strategy : string;
@@ -320,8 +301,6 @@ let evaluate_cfg cfg strategy p =
     time_s;
     provenance = Option.map describe_outcome (Portfolio.last_outcome ());
   }
-
-let evaluate strategy p = evaluate_cfg default_config strategy p
 
 let pp_report_canonical ppf r =
   Format.fprintf ppf "%-28s %6d/%-6d weight  %4d/%-4d moves  %s" r.strategy

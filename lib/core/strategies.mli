@@ -2,12 +2,11 @@
     coalescing challenge (experiment E11), the quality-gap study (E12)
     and the domain-parallel sweep engine ({!Rc_engine.Sweep}).
 
-    {!run_cfg} is the single solver entry point: one {!config} record
-    folds the row policy, optimistic scoring, set-coalescing bound,
-    checking level and seed that used to be scattered across the
-    individual searches' optional arguments.  The per-search entry
-    points ([Conservative.coalesce ?rows],
-    [Optimistic.coalesce ?rows ?scoring],
+    {!run_cfg} is the single solver entry point: the strategy names the
+    search (its set bound included), and one {!config} record carries
+    the four run-wide knobs — row policy, checking level, dispatch and
+    exact backend.  The per-search entry points
+    ([Conservative.coalesce ?rows], [Optimistic.coalesce ?rows],
     [Set_coalescing.coalesce ?rows ?max_set]) remain as the primitives
     this dispatcher calls — prefer {!run_cfg} in new code. *)
 
@@ -25,7 +24,7 @@ type t =
       (** brute-force conservative extended with simultaneous coalescing
           of affinity sets up to the given size — the "affinities by
           transitivity" remedy of Section 4 (see {!Set_coalescing}).  A
-          size [<= 0] defers to {!config.max_set}. *)
+          size [< 1] makes {!run_cfg} raise [Invalid_argument]. *)
   | Exact_conservative
       (** exact optimum through the configured backend
           ({!config.backend}, default ["bb"], the branch-and-bound —
@@ -80,36 +79,21 @@ type config = {
   rows : Rc_graph.Flat.rows option;
       (** row representation for every flat kernel the run builds
           ([None] = the kernel's adaptive default) *)
-  scoring : Optimistic.scoring;  (** optimistic de-coalescing scoring *)
-  max_set : int;
-      (** set-coalescing bound used when the strategy is
-          [Set_conservative n] with [n <= 0] *)
-  incremental : bool;
-      (** solve the conservative fixpoints through the worklist
-          {!Conservative.Engine} with its invalidate-on-merge rule
-          cache ([true], the default) or through the rescan
-          specification loops ([false]).  The two paths produce
-          identical solutions (locked by the differential suite); the
-          flag exists for the cached-vs-uncached benchmark axis and as
-          an escape hatch. *)
   check : check_level;
-  seed : int;
-      (** provenance: the seed stream that produced this task's
-          instance.  No current strategy draws randomness, so the field
-          only documents the run (sweep reports record it); a future
-          randomized strategy must draw from it and nothing else, or
-          domain-parallel runs stop being reproducible. *)
   dispatch : dispatch;
   backend : string option;
       (** which {!Backend} registry entry solves {!Exact_conservative}
           ([None] = ["bb"]).  [Exact_backend] strategies name their
           backend inline and ignore this field. *)
 }
+(** No strategy draws randomness, so the config carries no seed
+    (sweep cells record theirs in [Sweep.cell.seed]); a randomized
+    strategy would have to take its seed from here for domain-parallel
+    sweeps to stay reproducible. *)
 
 val default_config : config
-(** [{ rows = None; scoring = Degree_per_weight; max_set = 2;
-      incremental = true; check = No_check; seed = 0;
-      dispatch = Direct; backend = None }] *)
+(** [{ rows = None; check = No_check; dispatch = Direct;
+      backend = None }] *)
 
 (** {1 The solver-backend registry}
 
@@ -177,10 +161,6 @@ val run_cfg : config -> t -> Problem.t -> Coalescing.solution
     problem)] triple — the sweep engine relies on this to produce
     byte-identical reports at any domain count. *)
 
-val run : t -> Problem.t -> Coalescing.solution
-(** [run_cfg default_config].  Kept for the pre-config call sites;
-    prefer {!run_cfg}. *)
-
 type report = {
   strategy : string;
   coalesced_weight : int;
@@ -201,10 +181,6 @@ type report = {
 }
 
 val evaluate_cfg : config -> t -> Problem.t -> report
-
-val evaluate : t -> Problem.t -> report
-(** [evaluate_cfg default_config].  Kept for the pre-config call sites;
-    prefer {!evaluate_cfg}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -222,9 +222,10 @@ let find_chordless_cycle g =
     !result
 
 (* ------------------------------------------------------------------ *)
-(* Reference implementations on the persistent representation, kept as
-   the baseline for equivalence property tests and the old-vs-new
-   benchmark trajectory (bench/main.ml, BENCH_*.json).                 *)
+(* Reference implementations on the persistent representation, an
+   independent oracle in two roles: the certifier and the Theorem 1
+   lint (Rc_check) re-derive chordality with them, and the equivalence
+   property tests hold the flat kernel to them.                        *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct

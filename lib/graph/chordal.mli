@@ -63,8 +63,10 @@ val flat_is_chordal : Flat.t -> bool
 (** {1 Reference implementations}
 
     The pre-flat-kernel code paths on the persistent {!Graph}
-    representation, kept as the baseline for equivalence property tests
-    and the old-vs-new benchmark trajectory ([bench --json]). *)
+    representation, an oracle independent of the flat kernel in two
+    roles: the certifier and the Theorem 1 lint ([Rc_check]) re-derive
+    chordality with it, and the equivalence property tests hold the
+    flat kernel to it. *)
 
 module Reference : sig
   val mcs_order : Graph.t -> Graph.vertex list

@@ -277,10 +277,11 @@ let coloring_number g =
     1 + flat_smallest_last f ~order
 
 (* ------------------------------------------------------------------ *)
-(* Reference implementations on the persistent representation.  These
-   are the pre-flat-kernel code paths, kept verbatim as the baseline
-   for the equivalence property tests and the old-vs-new benchmark
-   trajectory (bench/main.ml, BENCH_*.json).                           *)
+(* Reference implementations on the persistent representation: the
+   pre-flat-kernel code paths, kept as an independent oracle in two
+   roles — the certifier (Rc_check.Certify) re-checks merged graphs
+   with them, and the equivalence property tests hold the flat kernel
+   to them.                                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Reference = struct

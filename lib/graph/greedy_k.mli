@@ -85,8 +85,10 @@ val flat_smallest_last : Flat.t -> order:int array -> int
 (** {1 Reference implementations}
 
     The pre-flat-kernel code paths on the persistent {!Graph}
-    representation, kept as the baseline for equivalence property tests
-    and the old-vs-new benchmark trajectory ([bench --json]). *)
+    representation, an oracle independent of the flat kernel in two
+    roles: the certifier ([Rc_check.Certify]) re-checks merged graphs
+    with it, and the equivalence property tests hold the flat kernel to
+    it. *)
 
 module Reference : sig
   val is_greedy_k_colorable : Graph.t -> int -> bool

@@ -232,7 +232,8 @@ let test_interval_walk () =
           chordal_total :=
             !chordal_total
             + Coalescing.coalesced_weight
-                (Strategies.run Strategies.Chordal_incremental p);
+                (Strategies.run_cfg Strategies.default_config
+                   Strategies.Chordal_incremental p);
           (* The walk and the Theorem-5 path are different conservative
              heuristics (either can win an instance); against the
              optimum the walk must never overshoot. *)

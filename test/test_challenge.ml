@@ -77,7 +77,7 @@ let test_strategies_sound_on_challenge () =
   let inst = Challenge.generate ~seed:33 ~k:6 () in
   List.iter
     (fun s ->
-      let sol = Strategies.run s inst.problem in
+      let sol = Strategies.run_cfg Strategies.default_config s inst.problem in
       check
         (Strategies.name s ^ " sound")
         true

@@ -512,7 +512,10 @@ let test_exact_dominates_heuristics () =
     let ex = Coalescing.coalesced_weight (Exact.conservative p) in
     List.iter
       (fun strategy ->
-        let h = Coalescing.coalesced_weight (Strategies.run strategy p) in
+        let h =
+          Coalescing.coalesced_weight
+            (Strategies.run_cfg Strategies.default_config strategy p)
+        in
         check
           (Printf.sprintf "exact >= %s (seed %d)" (Strategies.name strategy) seed)
           true (ex >= h))
@@ -677,7 +680,7 @@ let test_strategies_all_run () =
   let p = random_problem 42 in
   List.iter
     (fun s ->
-      let r = Strategies.evaluate s p in
+      let r = Strategies.evaluate_cfg Strategies.default_config s p in
       check (Strategies.name s ^ " reports weight sanely") true
         (r.coalesced_weight <= r.total_weight);
       if s <> Strategies.Aggressive then
@@ -690,7 +693,7 @@ let prop_weight_conservation =
       let p = random_problem (1 + seed) in
       List.for_all
         (fun s ->
-          let sol = Strategies.run s p in
+          let sol = Strategies.run_cfg Strategies.default_config s p in
           Coalescing.coalesced_weight sol + Coalescing.remaining_weight sol
           = Problem.total_weight p)
         [

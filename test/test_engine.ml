@@ -181,11 +181,11 @@ let test_run_cfg_equiv () =
       same "set-2"
         (Strategies.run_cfg cfg (Strategies.Set_conservative 2) p)
         (Rc_core.Set_coalescing.coalesce ~max_set:2 p);
-      (* max_set <= 0 defers to the config's default. *)
-      same "set-cfg-default"
-        (Strategies.run_cfg { cfg with max_set = 3 }
-           (Strategies.Set_conservative 0) p)
-        (Rc_core.Set_coalescing.coalesce ~max_set:3 p))
+      (* The set bound is the strategy's own: a bound below 1 is
+         rejected, not replaced by a default. *)
+      Alcotest.check_raises "set-cfg-default: Set_conservative 0 rejected"
+        (Invalid_argument "Set_coalescing.coalesce: max_set < 1") (fun () ->
+          ignore (Strategies.run_cfg cfg (Strategies.Set_conservative 0) p)))
 
 let test_of_string () =
   List.iter

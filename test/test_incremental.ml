@@ -5,9 +5,13 @@
    doing per-pass work proportional to the dirty set.  This suite holds
    it to that:
 
-   - 200+ seeded instances per rule family, incremental vs rescan, with
-     the row policy rotating across matrix / sparse / bitset / auto so
-     every physical representation goes through the cache paths;
+   - 200+ seeded instances per rule family, the production engine
+     against the rescan oracle (Rescan, test/rescan.ml), with the row
+     policy rotating across matrix / sparse / bitset / auto so every
+     physical representation goes through the cache paths;
+   - the smoke sweep preset and the K5 bench instance at full scale,
+     every rule-driven strategy through Strategies.run_cfg against the
+     same oracle;
    - a rollback-invalidation stress: external speculative merges and
      nested checkpoints driven over an engine-attached cache, verifying
      the cache's counters, movelists and buckets survive rollback
@@ -25,6 +29,7 @@ module Coalescing = Rc_core.Coalescing
 module Conservative = Rc_core.Conservative
 module Set_coalescing = Rc_core.Set_coalescing
 module Optimistic = Rc_core.Optimistic
+module Strategies = Rc_core.Strategies
 module Spec = Coalescing.Speculation
 module Rule_cache = Rc_core.Rule_cache
 module Worklist = Rc_core.Worklist
@@ -75,10 +80,10 @@ let test_conservative_differential () =
       List.iter
         (fun rule ->
           let a =
-            Conservative.coalesce_state ~rows ~incremental:true rule ~k:p.k
+            Conservative.coalesce_state ~rows rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           and b =
-            Conservative.coalesce_state ~rows ~incremental:false rule ~k:p.k
+            Rescan.coalesce_state ~rows rule ~k:p.k
               (Coalescing.initial p.graph) p.affinities
           in
           assert_same_solution (Conservative.rule_name rule) p a b)
@@ -95,8 +100,8 @@ let test_conservative_differential_dense () =
       let rows = rows_of_seed seed in
       List.iter
         (fun rule ->
-          let a = Conservative.coalesce ~rows ~incremental:true rule p
-          and b = Conservative.coalesce ~rows ~incremental:false rule p in
+          let a = Conservative.coalesce ~rows rule p
+          and b = Rescan.conservative ~rows rule p in
           assert_same_solution
             (Conservative.rule_name rule)
             p a.Coalescing.state b.Coalescing.state)
@@ -187,8 +192,7 @@ let test_rollback_stress () =
       done;
       (* Final cross-check against an untouched rescan. *)
       let b =
-        Conservative.coalesce_state ~rows ~incremental:false
-          Conservative.Briggs_george ~k:p.k
+        Rescan.coalesce_state ~rows Conservative.Briggs_george ~k:p.k
           (Coalescing.initial p.graph)
           p.affinities
       in
@@ -198,16 +202,15 @@ let test_rollback_stress () =
 (* Search-layer differentials                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The set search's incremental path prunes the pair enumeration with
-   cached interference facts and brute-force witnesses; its trajectory
-   must be *identical* to the rescan specification path, so the full
-   solutions must agree. *)
+(* The set search prunes the pair enumeration with cached interference
+   facts and brute-force witnesses; its trajectory must be *identical*
+   to the rescan search, so the full solutions must agree. *)
 let test_set_differential () =
   run_seeds ~name:"set-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:26 ~n_affinities:20 seed in
       let rows = rows_of_seed seed in
-      let a = Set_coalescing.coalesce ~rows ~incremental:true p
-      and b = Set_coalescing.coalesce ~rows ~incremental:false p in
+      let a = Set_coalescing.coalesce ~rows p
+      and b = Rescan.set_coalesce ~rows ~max_set:2 p in
       assert_same_solution "set search" p a.Coalescing.state
         b.Coalescing.state)
 
@@ -218,10 +221,45 @@ let test_optimistic_differential () =
   run_seeds ~name:"optimistic-incremental-vs-rescan" ~count:60 (fun seed ->
       let p = Qcheck_gen.problem ~n:32 ~n_affinities:26 seed in
       let rows = rows_of_seed seed in
-      let a = Optimistic.coalesce ~rows ~incremental:true p
-      and b = Optimistic.coalesce ~rows ~incremental:false p in
+      let a = Optimistic.coalesce ~rows p
+      and b = Rescan.optimistic ~rows p in
       assert_same_solution "optimistic" p a.Coalescing.state
         b.Coalescing.state)
+
+(* Full-scale instances through the production entry point: both smoke
+   sweep instances and the K5 bench instance, every rule-driven strategy
+   solved by [Strategies.run_cfg] and by the rescan oracle.  One
+   "seed" per instance. *)
+let test_preset_run_cfg () =
+  let smoke =
+    match Rc_engine.Sweep.preset_of_string "smoke" with
+    | Ok preset -> Rc_engine.Sweep.instance_problems ~seed:2026 preset
+    | Error m -> failwith m
+  in
+  let k5 =
+    (Rc_challenge.Challenge.synthetic ~seed:2026 ~n:3000 ~maxlive:12
+       ~affinity_fraction:0.3 ())
+      .problem
+  in
+  let instances = Array.append smoke [| k5 |] in
+  run_seeds ~name:"preset-run-cfg-vs-rescan" ~count:(Array.length instances)
+    (fun seed ->
+      let p = instances.(seed - 1) in
+      List.map
+        (fun rule ->
+          (Strategies.Conservative rule, fun () -> Rescan.conservative rule p))
+        all_rules
+      @ [
+          ( Strategies.Set_conservative 2,
+            fun () -> Rescan.set_coalesce ~max_set:2 p );
+          (Strategies.Optimistic, fun () -> Rescan.optimistic p);
+        ]
+      |> List.iter (fun (s, oracle) ->
+             let a = Strategies.run_cfg Strategies.default_config s p
+             and b = oracle () in
+             assert_same_solution
+               (Printf.sprintf "instance %d, %s" seed (Strategies.name s))
+               p a.Coalescing.state b.Coalescing.state))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination order                                       *)
@@ -434,6 +472,8 @@ let () =
             `Quick test_set_differential;
           Alcotest.test_case "optimistic incremental = rescan (60 seeds)"
             `Quick test_optimistic_differential;
+          Alcotest.test_case "smoke preset + K5 instance: run_cfg = rescan"
+            `Quick test_preset_run_cfg;
         ] );
       ( "elim-order",
         [
