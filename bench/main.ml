@@ -388,7 +388,7 @@ let k5_incremental_engine () =
         time (fun () ->
             let spec =
               Rc_core.Coalescing.Speculation.of_state
-                (Rc_core.Coalescing.initial p.Rc_core.Problem.graph)
+                (Rc_core.Coalescing.initial p)
             in
             let e =
               Rc_core.Conservative.Engine.create rule ~k:p.Rc_core.Problem.k
@@ -435,7 +435,7 @@ let k5_incremental_engine () =
       if rule = bg then begin
         let module Spec = Rc_core.Coalescing.Speculation in
         let spec =
-          Spec.of_state (Rc_core.Coalescing.initial p.Rc_core.Problem.graph)
+          Spec.of_state (Rc_core.Coalescing.initial p)
         in
         let e =
           Rc_core.Conservative.Engine.create rule ~k:p.Rc_core.Problem.k spec

@@ -52,7 +52,8 @@ module Segtree = struct
 end
 
 let coalesce ~order (p : Problem.t) =
-  let f = Flat.of_graph p.graph in
+  (* Queries only, so the problem's kernel itself, not a copy. *)
+  let f = Problem.kernel p in
   let n = Flat.num_live f in
   let m = Array.length order in
   if m <> n then
@@ -140,4 +141,4 @@ let coalesce ~order (p : Problem.t) =
         | _ -> (order.(r), mem) :: acc)
       members []
   in
-  Coalescing.solution_of_state p (Coalescing.of_classes p.graph classes)
+  Coalescing.solution_of_state p (Coalescing.of_classes p classes)

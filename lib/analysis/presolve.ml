@@ -35,10 +35,10 @@ let twin_degree_cap = 64
 (* Full-level reductions (peel + twin merge to fixpoint)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs on a mutable Flat copy of the interference graph; returns the
-   step list (application order) and the surviving affinities. *)
+(* Runs on a mutable copy of the problem's kernel; returns the step
+   list (application order) and the surviving affinities. *)
 let reduce (p : Problem.t) =
-  let f = Flat.of_graph p.graph in
+  let f = Problem.flat p in
   let cap = Flat.capacity f in
   let aff = Array.of_list p.affinities in
   let alive = Array.make (Array.length aff) true in
@@ -125,15 +125,13 @@ let reduce (p : Problem.t) =
 
 let induced_problem (p : Problem.t) vertices =
   let set = List.fold_left (fun s v -> Graph.ISet.add v s) Graph.ISet.empty vertices in
-  {
-    Problem.graph = Graph.induced p.graph set;
-    affinities =
-      List.filter
-        (fun (a : Problem.affinity) ->
-          Graph.ISet.mem a.u set && Graph.ISet.mem a.v set)
-        p.affinities;
-    k = p.k;
-  }
+  Problem.unchecked ~graph:(Graph.induced p.graph set)
+    ~affinities:
+      (List.filter
+         (fun (a : Problem.affinity) ->
+           Graph.ISet.mem a.u set && Graph.ISet.mem a.v set)
+         p.affinities)
+    ~k:p.k
 
 (* Components of interference ∪ affinity (the affinity edges must not
    be separated). *)
@@ -171,7 +169,9 @@ let rec split_part shared (p : Problem.t) =
   let n = Graph.num_vertices p.graph in
   if n <= 2 then [ p ]
   else begin
-    let f = Flat.of_graph p.graph in
+    (* The articulation scan only reads: the part's own kernel, which
+       its solve copies later. *)
+    let f = Problem.kernel p in
     let cut, _ = Structure.articulation f in
     let aff_deg = Hashtbl.create 16 in
     List.iter
@@ -190,11 +190,9 @@ let rec split_part shared (p : Problem.t) =
       | [] -> [ p ]
       | a :: rest -> (
           let without =
-            {
-              p with
-              Problem.graph = Graph.remove_vertex p.graph a;
-              affinities = p.affinities;
-            }
+            Problem.unchecked
+              ~graph:(Graph.remove_vertex p.graph a)
+              ~affinities:p.affinities ~k:p.k
           in
           match joint_components without with
           | [] | [ _ ] -> try_candidates rest
@@ -218,15 +216,13 @@ let run ?(level = Full) (p : Problem.t) =
     | Full -> reduce p
   in
   let residual =
-    {
-      Problem.graph =
-        Graph.induced p.graph
-          (List.fold_left
-             (fun s v -> Graph.ISet.add v s)
-             Graph.ISet.empty remaining);
-      affinities;
-      k = p.k;
-    }
+    Problem.unchecked
+      ~graph:
+        (Graph.induced p.graph
+           (List.fold_left
+              (fun s v -> Graph.ISet.add v s)
+              Graph.ISet.empty remaining))
+      ~affinities ~k:p.k
   in
   let shared = ref [] in
   let parts =
@@ -332,7 +328,7 @@ let lift plan (sols : Coalescing.solution list) =
     Hashtbl.fold (fun _ mem acc -> (List.hd mem, mem) :: acc) members []
   in
   Coalescing.solution_of_state plan.original
-    (Coalescing.of_classes plan.original.Problem.graph classes)
+    (Coalescing.of_classes plan.original classes)
 
 let lift_certified ~conservative plan sols =
   match lift plan sols with

@@ -117,7 +117,7 @@ let affinity_stats (p : Problem.t) =
 (* ------------------------------------------------------------------ *)
 
 let analyze ?(at_limit = 256) (p : Problem.t) =
-  let f = Flat.of_graph p.graph in
+  let f = Problem.flat p in
   let n = Flat.num_live f in
   let max_degree = ref 0 in
   Flat.iter_live f (fun v ->

@@ -246,7 +246,7 @@ let check_merge_log (p : Problem.t) log (a : answer) =
                    (Printf.sprintf
                       "merge (%d, %d) of the log is infeasible when replayed"
                       u v)))
-        (Coalescing.initial p.graph)
+        (Coalescing.initial p)
         log
     in
     let norm classes =

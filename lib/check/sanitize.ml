@@ -292,6 +292,45 @@ let on_flat_event ev (f : Flat.t) =
    the full audit (they happen once per search, not per probe). *)
 let spec_period = 16
 
+(* Field-by-field layout equality of two flat graphs: capacity, labels,
+   liveness, degrees, row forms and row contents in physical order. *)
+let same_layout a b =
+  let cap = Flat.capacity a in
+  let row f i =
+    if Flat.row_is_dense f i then Flat.row_words f i
+    else Array.sub (Flat.row_entries f i) 0 (Flat.degree f i)
+  in
+  let rec rows_agree i =
+    i = cap
+    || Flat.label a i = Flat.label b i
+       && Flat.is_live a i = Flat.is_live b i
+       && Flat.degree a i = Flat.degree b i
+       && Flat.row_is_dense a i = Flat.row_is_dense b i
+       && row a i = row b i
+       && rows_agree (i + 1)
+  in
+  cap = Flat.capacity b
+  && Flat.num_edges a = Flat.num_edges b
+  && Flat.num_live a = Flat.num_live b
+  && rows_agree 0
+
+(* The problem kernel a search started from is shared by every solve of
+   the problem, on every domain, so nothing may write it: its epoch and
+   undo log are still those of a fresh [Flat.of_graph], and so is its
+   layout. *)
+let audit_kernel base =
+  Option.iter
+    (fun k ->
+      if Flat.epoch k <> 0 then
+        fail "problem kernel written (epoch %d)" (Flat.epoch k);
+      if Flat.log_length k <> 0 || Flat.checkpoint_depth k <> 0 then
+        fail "problem kernel has an undo log (%d entries, depth %d)"
+          (Flat.log_length k) (Flat.checkpoint_depth k);
+      Flat.check_invariants k;
+      if not (same_layout k (Flat.of_graph (Coalescing.graph base))) then
+        fail "problem kernel differs from Flat.of_graph of its graph")
+    (Coalescing.kernel base)
+
 let on_spec_event ev (s : Speculation.spec) =
   let st = state () in
   st.events <- st.events + 1;
@@ -300,6 +339,7 @@ let on_spec_event ev (s : Speculation.spec) =
       Speculation.self_check s;
       Flat.check_invariants (Speculation.flat s);
       Option.iter Flat.check_invariants (Coalescing.snapshot st);
+      audit_kernel (Speculation.base s);
       (* The fast commit keeps a frozen copy OF the flat mirror as the
          committed graph, so comparing the two would be circular.
          Re-derive the result independently instead: replay the merge

@@ -18,7 +18,11 @@
       speculation event and in full at every commit
       ({!Rc_core.Coalescing.Speculation.self_check});
     - mirror-vs-persistent agreement at every commit: the flat mirror,
-      converted back, must equal the committed persistent graph.
+      converted back, must equal the committed persistent graph;
+    - the problem kernel ({!Rc_core.Problem.kernel}) at every commit of
+      a search that started from it: never written (epoch 0, no undo
+      log), invariant-clean, and still equal field by field to a fresh
+      [Flat.of_graph] of the problem's graph.
 
     Violations raise [Failure] with a ["Rc_check.Sanitize: ..."]
     message, at the event where the corruption became observable.

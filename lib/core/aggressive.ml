@@ -38,11 +38,11 @@ let coalesce_state st affinities =
   Spec.commit spec
 
 let coalesce (p : Problem.t) =
-  let st = coalesce_state (Coalescing.initial p.graph) p.affinities in
+  let st = coalesce_state (Coalescing.initial p) p.affinities in
   Coalescing.solution_of_state p st
 
 let all_coalescable (p : Problem.t) =
-  let st = coalesce_state (Coalescing.initial p.graph) p.affinities in
+  let st = coalesce_state (Coalescing.initial p) p.affinities in
   if
     List.for_all
       (fun (a : Problem.affinity) -> Coalescing.same_class st a.u a.v)

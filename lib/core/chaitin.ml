@@ -20,7 +20,7 @@ let class_weight (p : Problem.t) st repr =
 let allocate (p : Problem.t) =
   (* Phase 1: aggressive coalescing, exactly alternative (a) of
      Section 3 — merge regardless of colorability. *)
-  let st = Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities in
+  let st = Aggressive.coalesce_state (Coalescing.initial p) p.affinities in
   (* Phase 2: while the merged graph is stuck, spill (remove) a class of
      the residue, preferring high degree and low cost — Chaitin's
      cost/degree metric with unit base cost plus the affinity weight the

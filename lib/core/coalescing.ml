@@ -3,11 +3,13 @@ module Flat = Rc_graph.Flat
 module IMap = Graph.IMap
 module ISet = Graph.ISet
 
-(* The merged graph G_f: persistent (from [initial] and [merge]), or the
+(* The merged graph G_f: the problem's own graph (from [initial]), whose
+   flat form is the problem's kernel; persistent (from [merge]); or the
    flat graph a search built, frozen — never written again — with the
    persistent view built on the first [graph] call.  Two domains racing
    on that call both build equal graphs; the memo keeps one of them. *)
 type merged =
+  | Unmerged of Problem.t
   | Persistent of Graph.t
   | Frozen of { flat : Flat.t; view : Graph.t option Atomic.t }
 
@@ -19,13 +21,11 @@ type state = {
          more; a representative absent here stands only for itself *)
 }
 
-let initial g =
-  {
-    merged = Persistent g;
-    repr =
-      List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g);
-    members = IMap.empty;
-  }
+let singletons g =
+  List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g)
+
+let initial (p : Problem.t) =
+  { merged = Unmerged p; repr = singletons p.graph; members = IMap.empty }
 
 let find st v =
   match IMap.find_opt v st.repr with
@@ -36,6 +36,7 @@ let frozen flat = Frozen { flat; view = Atomic.make None }
 
 let graph st =
   match st.merged with
+  | Unmerged p -> p.graph
   | Persistent g -> g
   | Frozen { flat; view } -> (
       match Atomic.get view with
@@ -46,7 +47,14 @@ let graph st =
           g)
 
 let snapshot st =
-  match st.merged with Persistent _ -> None | Frozen { flat; _ } -> Some flat
+  match st.merged with
+  | Frozen { flat; _ } -> Some flat
+  | Unmerged _ | Persistent _ -> None
+
+let kernel st =
+  match st.merged with
+  | Unmerged p -> Some (Problem.kernel p)
+  | Persistent _ | Frozen _ -> None
 
 let same_class st u v = find st u = find st v
 
@@ -81,12 +89,13 @@ let classes st =
 let class_of st v = ISet.elements (members_of st.members (find st v))
 
 (* Build a state directly from explicit interference-free classes:
-   merge each class into its representative on a flat mirror, which the
-   state then keeps frozen, instead of a chain of persistent [merge]s.
-   Vertices not named by any class stay singletons.  The optimistic
-   scheme uses this to realize the classes surviving de-coalescing. *)
-let of_classes g cls =
-  let f = Flat.of_graph g in
+   merge each class into its representative on a copy of the problem's
+   kernel, which the state then keeps frozen, instead of a chain of
+   persistent [merge]s.  Vertices not named by any class stay
+   singletons.  The optimistic scheme, IRC and the presolver realize
+   their answers this way. *)
+let of_classes (p : Problem.t) cls =
+  let f = Problem.flat p in
   List.iter
     (fun (rep, members) ->
       let irep = Flat.index f rep in
@@ -98,8 +107,7 @@ let of_classes g cls =
     List.fold_left
       (fun m (rep, members) ->
         List.fold_left (fun m v -> IMap.add v rep m) m members)
-      (List.fold_left (fun m v -> IMap.add v v m) IMap.empty (Graph.vertices g))
-      cls
+      (singletons p.graph) cls
   in
   (* Group the non-trivial entries only: linear in n plus the named
      members' insertions. *)
@@ -164,6 +172,7 @@ module Speculation = struct
   let of_state ?rows st =
     let f =
       match st.merged with
+      | Unmerged p -> Problem.flat ?rows p
       | Persistent g -> Flat.of_graph ?rows g
       | Frozen { flat; _ } -> Flat.compact ?rows flat
     in
@@ -423,10 +432,14 @@ let check (p : Problem.t) s =
   then Ok ()
   else Error "solution affinity classification inconsistent"
 
-(* A frozen state answers on its flat graph directly, read-only: no
-   persistent build, no round trip back through [Flat.of_graph]. *)
+(* A frozen state, or an unmerged one through its problem's kernel,
+   answers on its flat graph directly, read-only: no persistent build,
+   no round trip back through [Flat.of_graph]. *)
 let is_conservative (p : Problem.t) s =
   match s.state.merged with
   | Persistent g -> Rc_graph.Greedy_k.is_greedy_k_colorable g p.k
+  | Unmerged q ->
+      Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly
+        (Problem.kernel q) p.k
   | Frozen { flat; _ } ->
       Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly flat p.k

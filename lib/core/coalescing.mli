@@ -9,16 +9,21 @@
 module Graph = Rc_graph.Graph
 
 type state
-(** Immutable.  The merged graph is held either as a persistent
-    {!Graph.t} (states from {!initial} and {!merge}) or, for states made
-    by {!Speculation.commit} and {!of_classes}, as a frozen
-    {!Rc_graph.Flat} snapshot of the graph the search built: a private
-    flat graph nobody writes again.  A frozen state builds its
-    persistent view lazily, on the first {!graph} call, and keeps it.
-    States are safe to share across domains: two domains racing on that
-    first call both get equal graphs. *)
+(** Immutable.  The merged graph is held in one of three forms: the
+    problem's own graph, whose flat form is the problem's frozen
+    {!Problem.kernel} (the state from {!initial}); a persistent
+    {!Graph.t} (states from {!merge}); or, for states made by
+    {!Speculation.commit} and {!of_classes}, a frozen {!Rc_graph.Flat}
+    snapshot of the graph the search built: a private flat graph nobody
+    writes again.  A frozen state builds its persistent view lazily, on
+    the first {!graph} call, and keeps it.  States are safe to share
+    across domains: two domains racing on that first call both get
+    equal graphs. *)
 
-val initial : Graph.t -> state
+val initial : Problem.t -> state
+(** Every vertex of the problem's graph in its own class.  Searches
+    started from it mirror the problem's kernel ({!Problem.flat}); no
+    flat graph is built until one asks. *)
 
 val find : state -> Graph.vertex -> Graph.vertex
 (** Current representative of an original vertex.  Raises
@@ -28,13 +33,19 @@ val graph : state -> Graph.t
 (** The coalesced graph G_f.  On a frozen state the first call builds
     it from the snapshot (O(V + E log V)) and later calls return the
     same value; the searches, {!is_conservative} and
-    {!Speculation.of_state} never need it. *)
+    {!Speculation.of_state} never need it.  On the {!initial} state it
+    is the problem's graph. *)
 
 val snapshot : state -> Rc_graph.Flat.t option
 (** The frozen flat snapshot behind a state made by
-    {!Speculation.commit} or {!of_classes}; [None] for a persistent
+    {!Speculation.commit} or {!of_classes}; [None] for any other
     state.  For audits and tests: it is shared, so never mutate it and
     never hand it to a function that claims its scratch buffers. *)
+
+val kernel : state -> Rc_graph.Flat.t option
+(** The problem's {!Problem.kernel} behind the {!initial} state (built
+    if it was not yet); [None] for any other state.  For audits and
+    tests, under the same rules as {!snapshot}. *)
 
 val merge : state -> Graph.vertex -> Graph.vertex -> state option
 (** [merge st u v] coalesces the classes of [u] and [v] (arguments may
@@ -54,14 +65,16 @@ val classes : state -> (Graph.vertex * Graph.vertex list) list
 val class_of : state -> Graph.vertex -> Graph.vertex list
 (** Original vertices merged into the class of the given vertex. *)
 
-val of_classes : Graph.t -> (Graph.vertex * Graph.vertex list) list -> state
-(** [of_classes g cls] builds the state realizing explicit classes over
-    the vertices of [g]: each [(rep, members)] class is merged into
-    [rep]; vertices named by no class stay singletons.  Classes must be
-    disjoint and interference-free.  One flat mirror and one flat
-    merge per non-representative member; the state keeps that mirror
-    as its frozen snapshot, with no conversion back.  The optimistic
-    scheme uses this to realize the classes surviving de-coalescing. *)
+val of_classes : Problem.t -> (Graph.vertex * Graph.vertex list) list -> state
+(** [of_classes p cls] builds the state realizing explicit classes over
+    the vertices of [p]'s graph: each [(rep, members)] class is merged
+    into [rep]; vertices named by no class stay singletons.  Classes
+    must be disjoint and interference-free ([Invalid_argument]
+    otherwise).  One copy of the problem's kernel and one flat merge
+    per non-representative member; the state keeps that copy as its
+    frozen snapshot, with no conversion back.  The optimistic scheme
+    realizes the classes surviving de-coalescing this way, the
+    presolver its lifted answer, and {!Irc} its coalesced nodes. *)
 
 (** {1 Speculation}
 
@@ -84,9 +97,12 @@ module Speculation : sig
 
   val of_state : ?rows:Rc_graph.Flat.rows -> state -> spec
   (** Flat mirror of [state]'s current merged graph.  The state is
-      retained as the commit base; it is never mutated.  A frozen state
-      is mirrored with {!Rc_graph.Flat.compact}, which builds the same
-      mirror as going through {!graph}, without the persistent graph.
+      retained as the commit base; it is never mutated.  The {!initial}
+      state is mirrored by {!Problem.flat} (a copy of the kernel, or
+      its {!Rc_graph.Flat.compact} under another row policy), a frozen
+      state with {!Rc_graph.Flat.compact}: both build the same mirror
+      as [Flat.of_graph ?rows (graph state)], without converting a
+      persistent graph.
       [?rows] selects the mirror's row representation (default
       {!Rc_graph.Flat.Auto}): the searches run identically on sparse,
       bitset or matrix rows — the representation-differential tests
@@ -208,6 +224,7 @@ val check : Problem.t -> solution -> (unit, string) result
 
 val is_conservative : Problem.t -> solution -> bool
 (** The coalesced graph is greedy-k-colorable for the problem's [k].  A
-    frozen state is checked on its snapshot in place
+    frozen state is checked on its snapshot in place, the {!initial}
+    state on its problem's kernel
     ({!Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly}), without
     building {!graph}. *)

@@ -287,7 +287,7 @@ let coalesce_state ?rows rule ~k st affinities =
 let coalesce ?rows rule (p : Problem.t) =
   let st =
     coalesce_state ?rows rule ~k:p.k
-      (Coalescing.initial p.graph)
+      (Coalescing.initial p)
       p.affinities
   in
   Coalescing.solution_of_state p st

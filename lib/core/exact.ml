@@ -33,7 +33,7 @@ type target = Any | Greedy_k_colorable | K_colorable
    cannot beat the incumbent. *)
 let search ?(floor = -1) ?(stop = fun () -> false) (p : Problem.t) ~target =
   let affinities, suffix = sorted_affinities p in
-  let spec = Spec.of_state (Coalescing.initial p.graph) in
+  let spec = Spec.of_state (Coalescing.initial p) in
   let ticks = ref 0 in
   let poll () =
     incr ticks;
@@ -81,7 +81,7 @@ let search ?(floor = -1) ?(stop = fun () -> false) (p : Problem.t) ~target =
   | Some log ->
       Some
         (Coalescing.solution_of_state p
-           (Spec.replay (Coalescing.initial p.graph) log))
+           (Spec.replay (Coalescing.initial p) log))
   | None -> None
 
 let search_exn ?stop p ~target =
@@ -94,7 +94,7 @@ let search_exn ?stop p ~target =
 let aggressive p = search_exn p ~target:Any
 
 let conservative ?stop ?prime (p : Problem.t) =
-  if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
+  if not (Problem.greedy_k_colorable p) then
     invalid_arg "Exact.conservative: input graph is not greedy-k-colorable";
   match prime with
   | None -> search_exn ?stop p ~target:Greedy_k_colorable
@@ -127,7 +127,7 @@ let incremental (p : Problem.t) x y =
   if Graph.mem_edge p.graph x y then false
   else if x = y then Coloring.k_colorable p.graph p.k <> None
   else
-    match Coalescing.merge (Coalescing.initial p.graph) x y with
+    match Coalescing.merge (Coalescing.initial p) x y with
     | None -> false
     | Some st -> Coloring.k_colorable (Coalescing.graph st) p.k <> None
 
@@ -164,7 +164,7 @@ module Reference = struct
         end
       end
     in
-    go 0 (Coalescing.initial p.graph) 0;
+    go 0 (Coalescing.initial p) 0;
     match !best with
     | Some st -> Coalescing.solution_of_state p st
     | None ->

@@ -236,7 +236,7 @@ let select_spill c =
 
 (* One build/simplify/select round on the given instance. *)
 let round ~rule ~biased (p : Problem.t) =
-  let f = Flat.of_graph p.graph in
+  let f = Problem.flat p in
   let n = Flat.capacity f in
   let moves = Array.of_list p.affinities in
   let nmoves = Array.length moves in
@@ -322,34 +322,37 @@ let round ~rule ~biased (p : Problem.t) =
       | None, Some col -> colors.(v) <- col
       | None, None -> spilled := Flat.label f v :: !spilled)
     c.stack;
-  (* Push colors out to coalesced members. *)
+  (* Push colors out to coalesced members, and collect each alias's
+     members (descending, so the prepends leave them ascending). *)
   let coloring = ref IMap.empty in
-  let merges = ref [] in
-  for v = 0 to n - 1 do
+  let absorbed = Array.make n [] in
+  for v = n - 1 downto 0 do
     if c.where.(v) = Coalesced_node then begin
       let a = get_alias c v in
-      merges := (Flat.label f a, Flat.label f v) :: !merges;
+      absorbed.(a) <- Flat.label f v :: absorbed.(a);
       if colors.(a) >= 0 then colors.(v) <- colors.(a)
     end;
     if colors.(v) >= 0 then
       coloring := IMap.add (Flat.label f v) colors.(v) !coloring
   done;
-  (!coloring, List.rev !spilled, List.rev !merges)
+  let classes = ref [] in
+  for a = n - 1 downto 0 do
+    if absorbed.(a) <> [] then
+      classes := (Flat.label f a, absorbed.(a)) :: !classes
+  done;
+  (!coloring, List.rev !spilled, !classes)
 
 let allocate ?(rule = Briggs_and_george) ?(biased = false) (p : Problem.t) =
   (* Rebuild loop: restart on the instance without actually-spilled
      vertices until the select phase colors everything. *)
   let rec go (q : Problem.t) all_spilled rounds =
-    let coloring, spilled, merges = round ~rule ~biased q in
+    let coloring, spilled, classes = round ~rule ~biased q in
     match spilled with
     | [] ->
-        let st =
-          List.fold_left
-            (fun st (a, n) ->
-              match Coalescing.merge st a n with Some st' -> st' | None -> st)
-            (Coalescing.initial q.graph)
-            merges
-        in
+        (* The coalesced nodes, merged into their aliases on a fresh
+           copy of the instance's kernel: IRC's own graph carries the
+           edges [combine] added, so it cannot serve as the answer. *)
+        let st = Coalescing.of_classes q classes in
         (* Report the solution against the original problem: affinities
            with a spilled endpoint count as given up. *)
         let coalesced, gave_up =

@@ -9,7 +9,15 @@
     spilling is settled).  When the select phase finds an actual spill,
     the spilled vertices are removed from the instance and the whole
     allocation restarts — the graph-level analogue of Chaitin's rebuild
-    loop. *)
+    loop.
+
+    Each round works on a private copy of the instance's kernel
+    ({!Problem.flat}), which [combine] grows with the edges it adds.
+    The answer is built on a second, clean copy: the final round's
+    coalesced nodes are merged into their aliases there
+    ({!Coalescing.of_classes}), and the solution's state keeps that
+    graph frozen, so {!Coalescing.is_conservative} answers on it
+    without a persistent graph. *)
 
 type rule = Briggs_only | George_only | Briggs_and_george
 

@@ -5,7 +5,7 @@ module Greedy_k = Rc_graph.Greedy_k
 
 (* Rebuild a merge state realizing the given classes (lists of original
    vertices).  Members of one class never interfere, so merges succeed. *)
-let state_of_classes g classes =
+let state_of_classes (p : Problem.t) classes =
   List.fold_left
     (fun st cls ->
       match cls with
@@ -18,7 +18,7 @@ let state_of_classes g classes =
               | None ->
                   invalid_arg "Optimistic.state_of_classes: interfering class")
             st rest)
-    (Coalescing.initial g) classes
+    (Coalescing.initial p) classes
 
 (* Total weight of affinities internal to a class. *)
 let internal_weight affinities members =
@@ -55,7 +55,7 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
   in
   victim
 
-(* De-coalescing on the flat kernel: one mirror of the base graph, and
+(* De-coalescing on the flat kernel: one copy of the problem's kernel, and
    per iteration a checkpointed replay of the surviving class merges —
    O(merges + V + E) instead of a persistent-state rebuild (each
    persistent merge pays O(log n) per absorbed member and per absorbed
@@ -68,7 +68,7 @@ let pick_victim ~scoring ~affinities ~residue_degree merged_classes =
    iterated in increasing representative order (as [Coalescing.classes]
    yields it), so victim scoring and tie-breaking agree. *)
 let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
-  let f = Flat.of_graph ?rows p.graph in
+  let f = Problem.flat ?rows p in
   let in_residue = Array.make (Flat.capacity f) false in
   let splits = ref 0 in
   (* (rep, members) pairs, members ascending, list sorted by rep — the
@@ -135,13 +135,13 @@ let decoalesce_greedy ?rows ?(scoring = Degree_per_weight) (p : Problem.t) st =
      classes in one pass ([Coalescing.of_classes] — the carried
      representatives are the smallest members, the same ones the
      persistent rebuild would pick). *)
-  if !splits = 0 then st else Coalescing.of_classes p.graph classes
+  if !splits = 0 then st else Coalescing.of_classes p classes
 
 let coalesce ?rows ?scoring (p : Problem.t) =
-  if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
+  if not (Problem.greedy_k_colorable p) then
     invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
   (* Phase 1: aggressive. *)
-  let st = Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities in
+  let st = Aggressive.coalesce_state (Coalescing.initial p) p.affinities in
   (* Phase 2: de-coalesce until greedy-k-colorable. *)
   let st = decoalesce_greedy ?rows ?scoring p st in
   (* Phase 3: conservative re-coalescing of what was given up. *)
@@ -196,7 +196,7 @@ module Reference = struct
                     else [ members ])
                   (Coalescing.classes st)
               in
-              loop (state_of_classes p.graph classes))
+              loop (state_of_classes p classes))
     in
     loop st
 
@@ -204,7 +204,7 @@ module Reference = struct
     if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
       invalid_arg "Optimistic.coalesce: input graph is not greedy-k-colorable";
     let st =
-      Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities
+      Aggressive.coalesce_state (Coalescing.initial p) p.affinities
     in
     let st = decoalesce_greedy ?scoring p st in
     let open_affinities =

@@ -255,7 +255,7 @@ type leaf = Model of int | Refuted of int array
 (* Evaluate a full assignment by replaying the chosen merges on a
    speculation context, in the shared branch order. *)
 let evaluate s =
-  let spec = Spec.of_state (Coalescing.initial s.p.Problem.graph) in
+  let spec = Spec.of_state (Coalescing.initial s.p) in
   let performed = ref [] in
   let gained = ref 0 in
   let conflict = ref None in
@@ -402,7 +402,7 @@ exception Found
 
 let reconstruct ~stop (p : Problem.t) wstar =
   let affinities, suffix = Exact.sorted_affinities p in
-  let spec = Spec.of_state (Coalescing.initial p.graph) in
+  let spec = Spec.of_state (Coalescing.initial p) in
   let result = ref None in
   let ticks = ref 0 in
   let poll () =
@@ -436,13 +436,13 @@ let reconstruct ~stop (p : Problem.t) wstar =
   match !result with
   | Some log ->
       Coalescing.solution_of_state p
-        (Spec.replay (Coalescing.initial p.graph) log)
+        (Spec.replay (Coalescing.initial p) log)
   | None ->
       (* The core certified a feasible leaf of weight wstar. *)
       assert false
 
 let conservative ?(stop = fun () -> false) ?prime (p : Problem.t) =
-  if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
+  if not (Problem.greedy_k_colorable p) then
     invalid_arg "Pb.conservative: input graph is not greedy-k-colorable";
   let floor =
     match prime with

@@ -141,7 +141,7 @@ let combine (p : Problem.t) (part_solutions : Coalescing.solution list) =
               | Some st' -> st'
               | None -> assert false)
           st sol.Coalescing.coalesced)
-      (Coalescing.initial p.graph)
+      (Coalescing.initial p)
       part_solutions
   in
   Coalescing.solution_of_state p st
@@ -149,7 +149,7 @@ let combine (p : Problem.t) (part_solutions : Coalescing.solution list) =
 let conservative_race ?(stop = fun () -> false) ?prime ?(reach = 20) ?certify
     (p : Problem.t) =
   ignore prime;
-  if not (Greedy_k.is_greedy_k_colorable p.graph p.k) then
+  if not (Problem.greedy_k_colorable p) then
     invalid_arg
       "Portfolio.conservative_race: input graph is not greedy-k-colorable";
   let parts = split_parts p in
@@ -165,7 +165,7 @@ let conservative_race ?(stop = fun () -> false) ?prime ?(reach = 20) ?certify
           %d); the portfolio refuses monolithic instances"
          max_aff reach);
   match parts with
-  | [] -> Coalescing.solution_of_state p (Coalescing.initial p.graph)
+  | [] -> Coalescing.solution_of_state p (Coalescing.initial p)
   | _ ->
       let certify =
         match certify with Some f -> f | None -> Coalescing.is_conservative p

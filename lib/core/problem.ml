@@ -1,8 +1,33 @@
 module Graph = Rc_graph.Graph
+module Flat = Rc_graph.Flat
 
 type affinity = { u : Graph.vertex; v : Graph.vertex; weight : int }
 
-type t = { graph : Graph.t; affinities : affinity list; k : int }
+type memo = Flat.t option Atomic.t
+
+type t = { graph : Graph.t; affinities : affinity list; k : int; memo : memo }
+
+let unchecked ~graph ~affinities ~k =
+  { graph; affinities; k; memo = Atomic.make None }
+
+(* Two domains racing on the first call may both build; the first
+   to publish wins and the loser's equal copy is dropped, so every
+   caller afterwards reads the same kernel. *)
+let kernel t =
+  match Atomic.get t.memo with
+  | Some f -> f
+  | None -> (
+      let f = Flat.of_graph t.graph in
+      if Atomic.compare_and_set t.memo None (Some f) then f
+      else match Atomic.get t.memo with Some f -> f | None -> assert false)
+
+let greedy_k_colorable t =
+  Rc_graph.Greedy_k.flat_is_greedy_k_colorable_readonly (kernel t) t.k
+
+let flat ?rows t =
+  match rows with
+  | None | Some Flat.Auto -> Flat.copy (kernel t)
+  | Some rows -> Flat.compact ~rows (kernel t)
 
 let normalize_affinities raw =
   let tbl = Hashtbl.create 16 in
@@ -26,7 +51,7 @@ let make ~graph ~affinities ~k =
         invalid_arg
           (Printf.sprintf "Problem.make: affinity (%d, %d) endpoint not in graph" u v))
     affinities;
-  { graph; affinities = normalize_affinities affinities; k }
+  unchecked ~graph ~affinities:(normalize_affinities affinities) ~k
 
 type error =
   | Nonpositive_k of int

@@ -93,7 +93,7 @@ let try_set ~k spec set =
       pairs.  Sizes >= 3 keep the generic enumeration. *)
 let coalesce ?rows ?(max_set = 2) (p : Problem.t) =
   if max_set < 1 then invalid_arg "Set_coalescing.coalesce: max_set < 1";
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
+  let spec = Spec.of_state ?rows (Coalescing.initial p) in
   let engine =
     Conservative.Engine.create Conservative.Brute_force ~k:p.k spec
       p.affinities
@@ -320,7 +320,7 @@ module Reference = struct
         in
         try_all candidates
     in
-    let st = singles (Coalescing.initial p.graph) in
+    let st = singles (Coalescing.initial p) in
     let st = grow st 2 in
     Coalescing.solution_of_state p st
 end

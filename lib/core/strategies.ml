@@ -177,7 +177,7 @@ let () =
     }
 
 let run_chordal_incremental ?rows (p : Problem.t) =
-  if not (Rc_graph.Chordal.is_chordal p.graph) then
+  if not (Rc_graph.Chordal.flat_is_chordal (Problem.flat p)) then
     Conservative.coalesce ?rows Conservative.Brute_force p
   else begin
     let by_weight =
@@ -194,7 +194,7 @@ let run_chordal_incremental ?rows (p : Problem.t) =
             match Chordal_coalescing.coalesce_incrementally p st a with
             | Some st' -> st'
             | None -> st)
-        (Coalescing.initial p.graph)
+        (Coalescing.initial p)
         by_weight
     in
     Coalescing.solution_of_state p st

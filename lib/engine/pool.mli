@@ -13,9 +13,11 @@
     engine's determinism contract.
 
     Thread-safety contract for tasks: a task must not touch mutable
-    state shared with other tasks.  One flat kernel per task is the
-    repo-wide rule; the kernel monitors and sanitizer counters are
-    domain-local ({!Rc_check.Sanitize}), and every worker domain
+    state shared with other tasks.  One mutable flat graph per task is
+    the repo-wide rule; a frozen one, such as a problem's
+    [Rc_core.Problem.kernel], is shared and only copied or read.  The
+    kernel monitors and sanitizer counters are domain-local
+    ({!Rc_check.Sanitize}), and every worker domain
     installs the sanitizer on startup when the dev-checked profile or
     [RC_CHECKED] enables it, so parallel runs are audited exactly like
     sequential ones. *)

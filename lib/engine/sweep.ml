@@ -65,8 +65,8 @@ let preset_of_string s =
    and the speculative aggressive/commit paths removed the
    rescan-per-pass and replay-per-commit costs that used to cap
    aggressive, brute force, optimistic and the set search at 3*10^4:
-   all four now sweep the 10^5 preset in full, and so does IRC since
-   its merge replay pays per absorbed class instead of per vertex.
+   all four now sweep the 10^5 preset in full, and so does IRC, which
+   builds its answer on a copy of the instance's kernel.
    The per-affinity clique-tree strategy costs 28s at n=10^3 and the
    branch-and-bound is exponential — cliffs of their own. *)
 let scale_ceiling = function
@@ -191,32 +191,73 @@ let leaderboard_of_cells strategies (cells : cell array) =
     (fun a b -> compare (-.a.score, a.rstrategy) (-.b.score, b.rstrategy))
     rows
 
+(* A write-once slot: the task preparing an instance fills it, and a
+   cell that reaches the instance first waits.  The preparation's
+   exception is kept, so its waiters fail with it instead of blocking
+   on a slot that will never fill. *)
+module Slot = struct
+  type 'a t = {
+    m : Mutex.t;
+    filled : Condition.t;
+    mutable v : ('a, exn) result option;
+  }
+
+  let create () = { m = Mutex.create (); filled = Condition.create (); v = None }
+
+  let fill t v =
+    Mutex.protect t.m (fun () ->
+        t.v <- Some v;
+        Condition.broadcast t.filled)
+
+  let get t =
+    let v =
+      Mutex.protect t.m (fun () ->
+          let rec wait () =
+            match t.v with
+            | Some v -> v
+            | None ->
+                Condition.wait t.filled t.m;
+                wait ()
+          in
+          wait ())
+    in
+    match v with Ok x -> x | Error e -> raise e
+end
+
 let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
     ?(check = Strategies.No_check) ~seed preset =
   let t0 = Rc_core.Mclock.now_ns () in
   let root = Seed.of_int seed in
-  (* Instances are built once, sequentially, and shared read-only by
-     every cell (persistent graphs are immutable); each cell still gets
-     its own flat kernel inside the solver. *)
   let sources = sources_a preset in
   let instances = Array.length sources in
   let instance_seeds = Array.init instances (fun i -> Seed.split root i) in
-  let problems =
-    Array.mapi (fun i s -> build_problem sources.(i) s) instance_seeds
-  in
-  (* One structural profile per instance (deterministic, so both the
+  (* Tasks [0, instances) prepare the instances: build the problem, its
+     kernel and its structural profile (deterministic, so both the
      class column and the summary lines are part of the canonical
-     report). *)
-  let instance_profiles = Array.map Profile.analyze problems in
-  let classes = Array.map Profile.classification instance_profiles in
-  let profiles = Array.map Profile.summary instance_profiles in
+     report).  The cells follow.  Every domain claims task indices in
+     order, so each preparation has started before any cell can wait
+     for it, and a domain with no preparation left starts on the cells
+     of the instances already prepared.  The cells of one instance
+     share its problem and kernel read-only; each solver copies the
+     kernel it starts from. *)
+  let slots = Array.init instances (fun _ -> Slot.create ()) in
+  let prepare ii =
+    match
+      let p = build_problem sources.(ii) instance_seeds.(ii) in
+      ignore (Problem.kernel p);
+      (p, Profile.analyze p)
+    with
+    | prepared -> Slot.fill slots.(ii) (Ok prepared)
+    | exception e ->
+        Slot.fill slots.(ii) (Error e);
+        raise e
+  in
   let strategies_a = Array.of_list strategies in
   let n_strat = Array.length strategies_a in
-  let tasks = n_strat * instances in
   let cell i =
     let si = i / instances and ii = i mod instances in
     let strategy = strategies_a.(si) in
-    let p = problems.(ii) in
+    let p, _ = Slot.get slots.(ii) in
     let seed_i = Seed.to_int instance_seeds.(ii) in
     let n = Graph.num_vertices p.Problem.graph in
     let ceiling = scale_ceiling strategy in
@@ -232,18 +273,29 @@ let run ?pool ?domains ?(strategies = Strategies.all_heuristics) ?rows
     in
     { strategy = Strategies.name strategy; instance = ii; seed = seed_i; outcome }
   in
-  let run_cells pool = Pool.run pool ~tasks cell in
-  let domains_used, cells =
+  let run_tasks pool =
+    Pool.run pool ~tasks:(instances + (n_strat * instances)) (fun i ->
+        if i < instances then (prepare i; None)
+        else Some (cell (i - instances)))
+  in
+  let domains_used, results =
     match pool with
-    | Some pool -> (Pool.domains pool, run_cells pool)
+    | Some pool -> (Pool.domains pool, run_tasks pool)
     | None ->
         let domains =
           match domains with
           | Some d -> d
           | None -> Pool.recommended_domains ()
         in
-        (domains, Pool.with_pool ~domains run_cells)
+        (domains, Pool.with_pool ~domains run_tasks)
   in
+  let cells =
+    Array.init (n_strat * instances) (fun i ->
+        Option.get results.(instances + i))
+  in
+  let instance_profiles = Array.map (fun s -> snd (Slot.get s)) slots in
+  let classes = Array.map Profile.classification instance_profiles in
+  let profiles = Array.map Profile.summary instance_profiles in
   {
     preset;
     root_seed = seed;

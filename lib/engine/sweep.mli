@@ -3,11 +3,14 @@
     fanned out over every core.
 
     A sweep is a preset (an instance family and count) crossed with a
-    strategy list.  Each (strategy, instance) cell is one pool task:
-    it derives its own seed stream from the root seed and the cell
-    index ({!Seed}), runs {!Rc_core.Strategies.evaluate_cfg} on its own
-    flat kernel, and lands its report in the index-ordered result
-    array.  Reports are split into a {e canonical} part (weights,
+    strategy list.  Each instance is prepared by one pool task: it is
+    built from its seed, its interference kernel
+    ({!Rc_core.Problem.kernel}) is built and it is profiled.  Each
+    (strategy, instance) cell is one more pool task: it derives its own
+    seed stream from the root seed and the cell index ({!Seed}), runs
+    {!Rc_core.Strategies.evaluate_cfg} on the instance, whose solver
+    starts from a private copy of the shared kernel, and lands its
+    report in the index-ordered result array.  Reports are split into a {e canonical} part (weights,
     counts, conservativeness — everything deterministic) and a timing
     part; the canonical rendering is byte-identical at any domain
     count, which the engine test suite asserts at 1, 2 and 4 domains.
@@ -57,8 +60,9 @@ val n_instances : preset -> int
 
 val instance_problems : seed:int -> preset -> Rc_core.Problem.t array
 (** Exactly the instances a sweep at [~seed] over [preset] evaluates
-    (same {!Seed} split per index), built sequentially — the [analyze
-    --preset] entry point profiles what the sweep would run. *)
+    (same {!Seed} split per index), built one after another on the
+    caller, with no kernel yet — the [analyze --preset] entry point
+    profiles what the sweep would run. *)
 
 val scale_ceiling : Rc_core.Strategies.t -> int
 (** Largest vertex count the strategy is swept at (see above). *)
@@ -116,7 +120,16 @@ val run :
 (** Runs the sweep.  [pool] reuses an existing pool (its domain count
     wins); otherwise a fresh pool of [domains] (default
     {!Pool.recommended_domains}) is created for the call, and a count
-    outside [1 .. Pool.max_domains] raises [Invalid_argument].  [strategies]
+    outside [1 .. Pool.max_domains] raises [Invalid_argument].
+
+    Nothing per instance runs on the caller before the pool starts:
+    the first [n_instances preset] tasks of the one pool run prepare
+    the instances (build, kernel, profile), and the cells follow.
+    Domains claim tasks in index order, so every preparation has
+    started before any cell runs; a cell whose instance is still being
+    prepared on another domain waits for it, and one whose instance is
+    ready runs at once.  An exception raised while preparing an
+    instance is re-raised by [run].  [strategies]
     defaults to {!Rc_core.Strategies.all_heuristics}; [rows] and
     [check] are threaded into every cell's
     {!Rc_core.Strategies.config}. *)

@@ -31,11 +31,19 @@
 
     Mutability discipline: a [Flat.t] is single-owner mutable state.
     Functions in this library that accept one never retain it.  The
-    exception is a {e frozen snapshot}: a {!copy} that nobody writes
-    after it is taken (a committed merge state keeps one).  Several
-    domains may read a frozen snapshot at once, through the paths that
-    claim no scratch buffer: {!to_graph}, {!compact}, {!copy}, the
-    queries and {!Greedy_k.flat_is_greedy_k_colorable_readonly}. *)
+    exception is a {e frozen} graph that nobody writes after it is
+    built: a committed merge state's snapshot, or a problem's
+    interference kernel ([Rc_core.Problem.kernel]), which every solve
+    of the problem copies.  Several domains may read a frozen graph at
+    once, through the paths that write nothing into it: {!to_graph},
+    {!compact}, {!copy}, the queries and
+    {!Greedy_k.flat_is_greedy_k_colorable_readonly}, which keeps its
+    buffers in the call.  Claiming a {!scratch1} / {!scratch2} buffer
+    is a write: it allocates the buffer into the graph on first use,
+    and the caller then fills it.  So a kernel that claims scratch
+    ({!Chordal.flat_is_chordal}, the {!Greedy_k} elimination paths, the
+    structural profile) must run on a private copy, never on a frozen
+    graph. *)
 
 type t
 

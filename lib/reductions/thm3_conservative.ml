@@ -71,7 +71,7 @@ let coalesced_source gadget =
         match Coalescing.merge st a.u a.v with
         | Some st' -> st'
         | None -> st)
-      (Coalescing.initial gadget.problem.graph)
+      (Coalescing.initial gadget.problem)
       gadget.problem.affinities
   in
   (* Relabel each class by its original source vertex so the result is

@@ -163,7 +163,7 @@ let coalesced_graph gadget =
         | Some st' -> st'
         | None ->
             invalid_arg "Thm6_optimistic.coalesced_graph: heart interferes")
-      (Rc_core.Coalescing.initial gadget.problem.graph)
+      (Rc_core.Coalescing.initial gadget.problem)
       gadget.problem.affinities
   in
   Rc_core.Coalescing.graph st

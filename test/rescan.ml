@@ -92,7 +92,7 @@ let coalesce_state ?rows rule ~k st affinities =
 (* [Conservative.coalesce], by rescan. *)
 let conservative ?rows rule (p : Problem.t) =
   Coalescing.solution_of_state p
-    (coalesce_state ?rows rule ~k:p.k (Coalescing.initial p.graph)
+    (coalesce_state ?rows rule ~k:p.k (Coalescing.initial p)
        p.affinities)
 
 (* Merge every affinity of [set] on top of the current context; keep
@@ -117,7 +117,7 @@ let try_set ~k spec set =
    decreasing combined weight, restarting from the singletons (and from
    size 2) after each set that merges. *)
 let set_coalesce ?rows ~max_set (p : Problem.t) =
-  let spec = Spec.of_state ?rows (Coalescing.initial p.graph) in
+  let spec = Spec.of_state ?rows (Coalescing.initial p) in
   let open_affinities () =
     List.filter
       (fun (a : Problem.affinity) -> not (Spec.same_class spec a.u a.v))
@@ -151,7 +151,7 @@ let set_coalesce ?rows ~max_set (p : Problem.t) =
    brute-force fixpoint over the affinities given up. *)
 let optimistic ?rows ?scoring (p : Problem.t) =
   let st =
-    Rc_core.Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities
+    Rc_core.Aggressive.coalesce_state (Coalescing.initial p) p.affinities
   in
   let st = Rc_core.Optimistic.decoalesce_greedy ?rows ?scoring p st in
   let open_affinities =

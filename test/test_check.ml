@@ -308,7 +308,7 @@ let test_lint_audits () =
 
 let test_problem_validate_typed () =
   let g = G.of_edges [ (0, 1); (1, 2) ] in
-  let mk affinities k : Problem.t = { graph = g; affinities; k } in
+  let mk affinities k = Problem.unchecked ~graph:g ~affinities ~k in
   let errs p = match Problem.validate p with Ok () -> [] | Error es -> es in
   check "valid instance has no errors" true
     (errs (mk [ { u = 0; v = 2; weight = 3 } ] 2) = []);
@@ -393,7 +393,7 @@ let test_certifier_differential () =
 let test_certifier_merge_log () =
   run_seeds ~name:"certifier_merge_log" ~count:50 (fun seed ->
     let p = random_problem ~n:12 ~n_affinities:6 seed in
-    let s = Speculation.of_state (Coalescing.initial p.graph) in
+    let s = Speculation.of_state (Coalescing.initial p) in
     List.iter
       (fun (a : Problem.affinity) -> ignore (Speculation.merge s a.u a.v))
       p.affinities;
@@ -537,7 +537,7 @@ let test_mutation_classes () =
   let path = G.path 5 in
   let p = Problem.make ~graph:path ~affinities:[ ((0, 4), 1) ] ~k:2 in
   let st =
-    match Coalescing.merge (Coalescing.initial path) 0 4 with
+    match Coalescing.merge (Coalescing.initial p) 0 4 with
     | Some st -> st
     | None -> Alcotest.fail "path-end merge refused"
   in
@@ -600,7 +600,7 @@ let test_sanitizer_catches_faults () =
   with_sanitizer (fun () ->
       let g = G.path 6 in
       let p = Problem.make ~graph:g ~affinities:[ ((0, 2), 1) ] ~k:3 in
-      let s = Speculation.of_state (Coalescing.initial p.graph) in
+      let s = Speculation.of_state (Coalescing.initial p) in
       check "speculative merge accepted" true (Speculation.merge s 0 2);
       let fl = Speculation.flat s in
       Flat.add_edge fl (Flat.index fl 1) (Flat.index fl 4);

@@ -100,7 +100,7 @@ let test_problem_constrained () =
 
 let test_merge_state () =
   let g = G.of_edges [ (0, 1); (2, 3) ] in
-  let st = Coalescing.initial g in
+  let st = Coalescing.initial (Problem.make ~graph:g ~affinities:[] ~k:1) in
   check "merge non-interfering" true (Coalescing.merge st 0 2 <> None);
   check "merge interfering rejected" true (Coalescing.merge st 0 1 = None);
   match Coalescing.merge st 0 2 with
@@ -115,7 +115,7 @@ let test_merge_state () =
 
 let test_solution_classification () =
   let p = small_problem () in
-  let st = Coalescing.initial p.graph in
+  let st = Coalescing.initial p in
   let st =
     match Coalescing.merge st 0 2 with Some s -> s | None -> assert false
   in
@@ -440,7 +440,7 @@ let test_thm5_incremental_driver () =
               | Some st' -> st'
               | None -> st
             else st)
-          (Coalescing.initial p.graph)
+          (Coalescing.initial p)
           p.affinities
       in
       let sol = Coalescing.solution_of_state p st in
@@ -547,7 +547,7 @@ let test_exact_decoalesce_precondition () =
   let p = small_problem () in
   check "rejects partial state" true
     (try
-       ignore (Exact.decoalesce p (Coalescing.initial p.graph));
+       ignore (Exact.decoalesce p (Coalescing.initial p));
        false
      with Invalid_argument _ -> true);
   match Aggressive.all_coalescable p with

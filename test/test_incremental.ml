@@ -81,10 +81,10 @@ let test_conservative_differential () =
         (fun rule ->
           let a =
             Conservative.coalesce_state ~rows rule ~k:p.k
-              (Coalescing.initial p.graph) p.affinities
+              (Coalescing.initial p) p.affinities
           and b =
             Rescan.coalesce_state ~rows rule ~k:p.k
-              (Coalescing.initial p.graph) p.affinities
+              (Coalescing.initial p) p.affinities
           in
           assert_same_solution (Conservative.rule_name rule) p a b)
         all_rules)
@@ -113,7 +113,7 @@ let test_conservative_differential_dense () =
 let test_cache_hits () =
   run_seeds ~name:"cache-hits-on-requiescence" ~count:40 (fun seed ->
       let p = Qcheck_gen.problem ~n:40 ~n_affinities:30 seed in
-      let spec = Spec.of_state (Coalescing.initial p.graph) in
+      let spec = Spec.of_state (Coalescing.initial p) in
       let e =
         Conservative.Engine.create Conservative.Briggs_george ~k:p.k spec
           p.affinities
@@ -146,7 +146,7 @@ let test_rollback_stress () =
       let p = Qcheck_gen.problem ~n:36 ~n_affinities:28 seed in
       let rng = Random.State.make [| seed; 0xb5 |] in
       let rows = rows_of_seed seed in
-      let spec = Spec.of_state ~rows (Coalescing.initial p.graph) in
+      let spec = Spec.of_state ~rows (Coalescing.initial p) in
       let e =
         Conservative.Engine.create Conservative.Briggs_george ~k:p.k spec
           p.affinities
@@ -193,7 +193,7 @@ let test_rollback_stress () =
       (* Final cross-check against an untouched rescan. *)
       let b =
         Rescan.coalesce_state ~rows Conservative.Briggs_george ~k:p.k
-          (Coalescing.initial p.graph)
+          (Coalescing.initial p)
           p.affinities
       in
       assert_same_solution "post-stress" p (Spec.commit spec) b)
@@ -213,6 +213,49 @@ let test_set_differential () =
       and b = Rescan.set_coalesce ~rows ~max_set:2 p in
       assert_same_solution "set search" p a.Coalescing.state
         b.Coalescing.state)
+
+(* The pair path at scale: a 1200-vertex interval sweep at k = 3 with
+   five copies of an 8-vertex gadget on which brute force merges
+   neither affinity alone but set-conservative/2 merges them as a pair.
+   The search must accept a pair (its answer beats the singles
+   fixpoint) and follow the rescan exactly, with the witness pruning of
+   the pair enumeration running over the interval part's rejections. *)
+let test_set_pairs_at_scale () =
+  let sweep =
+    (Rc_challenge.Challenge.synthetic ~seed:2026 ~n:1200 ~maxlive:3
+       ~affinity_fraction:0.3 ())
+      .problem
+  in
+  let copy j (u, v) = (1200 + (8 * j) + u, 1200 + (8 * j) + v) in
+  let gadget_edges =
+    [ (5, 7); (5, 6); (4, 7); (3, 7); (2, 6); (2, 5); (2, 4); (1, 4); (1, 2);
+      (0, 7); (0, 6); (0, 2) ]
+  and gadget_affinities = [ ((0, 1), 1); ((1, 5), 2) ] in
+  let graph =
+    List.fold_left
+      (fun g j ->
+        List.fold_left
+          (fun g e -> let u, v = copy j e in G.add_edge g u v)
+          g gadget_edges)
+      sweep.graph (List.init 5 Fun.id)
+  in
+  let affinities =
+    List.map
+      (fun (a : Problem.affinity) -> ((a.u, a.v), a.weight))
+      sweep.affinities
+    @ List.concat_map
+        (fun j -> List.map (fun (e, w) -> (copy j e, w)) gadget_affinities)
+        (List.init 5 Fun.id)
+  in
+  let p = Problem.make ~graph ~affinities ~k:3 in
+  let solve s = Strategies.run_cfg Strategies.default_config s p in
+  let set2 = solve (Strategies.Set_conservative 2)
+  and singles = solve (Strategies.Conservative Conservative.Brute_force)
+  and oracle = Rescan.set_coalesce ~max_set:2 p in
+  check "a pair merged" true
+    (Coalescing.coalesced_weight set2 > Coalescing.coalesced_weight singles);
+  assert_same_solution "set search at scale" p set2.Coalescing.state
+    oracle.Coalescing.state
 
 (* Optimistic phase 3 is a conservative brute-force fixpoint starting
    from a non-trivial merge state — exercises engine creation with
@@ -260,6 +303,93 @@ let test_preset_run_cfg () =
              assert_same_solution
                (Printf.sprintf "instance %d, %s" seed (Strategies.name s))
                p a.Coalescing.state b.Coalescing.state))
+
+(* ------------------------------------------------------------------ *)
+(* Cache invalidation gadgets                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Random instances leave most of the cache's invalidation set
+   untested: one merge there dirties nearly every affinity through the
+   roots it bumps anyway.  Each gadget below isolates one guard.  A
+   heavy affinity is rejected in the first pass, a light one merges
+   elsewhere, and that merge flips the heavy verdict while bumping
+   neither of its roots: only the guard makes the engine look at the
+   heavy affinity again, as the rescan does.  Each gadget asserts that
+   the rescan does coalesce the heavy affinity, so it stays a test of
+   the guard. *)
+
+let gadget ~k edges affinities =
+  Problem.make ~graph:(G.of_edges edges) ~affinities ~k
+
+let assert_gadget name rule p (heavy : int * int) =
+  List.iter
+    (fun rows ->
+      let what = Printf.sprintf "%s, %s" name (Flat.rows_to_string rows) in
+      let a = Conservative.coalesce ~rows rule p
+      and b = Rescan.conservative ~rows rule p in
+      check (what ^ ": rescan coalesces the heavy affinity") true
+        (Coalescing.same_class b.Coalescing.state (fst heavy) (snd heavy));
+      assert_same_solution what p a.Coalescing.state b.Coalescing.state)
+    Flat.[ Auto; Matrix; Sparse_rows; Bitset_rows ]
+
+(* Common neighbours.  Briggs rejects x~y (0~1, k = 3): c = 4, h1 = 5
+   and h2 = 8 have degree 3.  Merging u~v (2~3) drops c, their common
+   neighbour, to degree 2, and Briggs accepts.  x is a neighbour of c,
+   bumped only by the common-neighbour term of [Rule_cache.pre_merge]. *)
+let test_gadget_common_neighbour () =
+  assert_gadget "common neighbour" Conservative.Briggs
+    (gadget ~k:3
+       [
+         (0, 4); (2, 4); (3, 4); (1, 5); (5, 6); (5, 7); (1, 8); (8, 9); (8, 10);
+       ]
+       [ ((0, 1), 10); ((2, 3), 1) ])
+    (0, 1)
+
+(* Distance-2 degrees.  The extended rule rejects x~y (0~1, k = 3): y
+   sits in a K4 with h1..h3 (2..4), and x's only neighbour w (5) has
+   the merged vertex and z1, z2 (6, 7) as high neighbours, so it is not
+   Briggs-simplifiable.  Merging u~v (10~11) drops z1, their common
+   neighbour, to degree 2: w becomes simplifiable and George's extended
+   test accepts.  The bump reaches w, not x: the verdict changed at
+   distance 2 from x, so an extended rejection must stay dirty rather
+   than sit clean behind its roots' stamps. *)
+let test_gadget_distance_two () =
+  assert_gadget "distance two" Conservative.Briggs_george_extended
+    (gadget ~k:3
+       [
+         (1, 2); (1, 3); (1, 4); (2, 3); (2, 4); (3, 4); (0, 5); (5, 6); (5, 7);
+         (6, 10); (6, 11); (7, 8); (7, 9);
+       ]
+       [ ((0, 1), 10); ((10, 11), 1) ])
+    (0, 1)
+
+(* Witness cap.  A circular ladder of [rungs] rungs missing rung 0, and
+   y (2 * rungs) hanging off b0: merging x = a0 with y closes the ladder
+   into a cubic graph, one 3-core of every vertex, so brute force
+   rejects it with a stuck set past [witness_cap] and stores no
+   witness.  Merging a(i-1)~a(i+1) is accepted, and it leaves a(i) with
+   degree 2, which unravels the whole ladder: x~y now merges.  A
+   witness truncated to its first [witness_cap] members would miss the
+   merged-away vertex whenever it lies past the cut, and keep rejecting
+   x~y.  One seed per position i. *)
+let test_gadget_witness_cap () =
+  let rungs = 150 in
+  let a i = i mod rungs and b i = rungs + (i mod rungs) in
+  let y = 2 * rungs in
+  let edges =
+    ((b 0, y) :: List.init (rungs - 1) (fun i -> (a (i + 1), b (i + 1))))
+    @ List.concat
+        (List.init rungs (fun i -> [ (a i, a (i + 1)); (b i, b (i + 1)) ]))
+  in
+  let positions = List.init 20 (fun j -> 3 + (7 * j)) in
+  run_seeds ~name:"gadget-witness-cap" ~count:(List.length positions)
+    (fun seed ->
+      let i = List.nth positions (seed - 1) in
+      assert_gadget
+        (Printf.sprintf "witness cap, position %d" i)
+        Conservative.Brute_force
+        (gadget ~k:3 edges [ ((a 0, y), 10); ((a (i - 1), a (i + 1)), 1) ])
+        (a 0, y))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination order                                       *)
@@ -465,11 +595,19 @@ let () =
             test_cache_hits;
           Alcotest.test_case "rollback invalidation stress (60 seeds)" `Quick
             test_rollback_stress;
+          Alcotest.test_case "gadget: common-neighbour bump" `Quick
+            test_gadget_common_neighbour;
+          Alcotest.test_case "gadget: extended rejections stay dirty" `Quick
+            test_gadget_distance_two;
+          Alcotest.test_case "gadget: no witness past the cap (20 seeds)"
+            `Quick test_gadget_witness_cap;
         ] );
       ( "search",
         [
           Alcotest.test_case "set search incremental = rescan (60 seeds)"
             `Quick test_set_differential;
+          Alcotest.test_case "set search pairs at scale = rescan" `Quick
+            test_set_pairs_at_scale;
           Alcotest.test_case "optimistic incremental = rescan (60 seeds)"
             `Quick test_optimistic_differential;
           Alcotest.test_case "smoke preset + K5 instance: run_cfg = rescan"

@@ -105,7 +105,7 @@ let brute_force_optimum (p : Problem.t) =
   let m = Array.length affinities in
   let best = ref (-1) in
   for mask = 0 to (1 lsl m) - 1 do
-    let st = ref (Some (Coalescing.initial p.graph)) in
+    let st = ref (Some (Coalescing.initial p)) in
     for i = 0 to m - 1 do
       if mask land (1 lsl i) <> 0 then
         match !st with

@@ -305,7 +305,7 @@ let test_thm4_coloring_to_assignment () =
   with
   | false -> Alcotest.fail "satisfiable formula expected coalescable"
   | true -> (
-      let st = Rc_core.Coalescing.initial gadget.problem.graph in
+      let st = Rc_core.Coalescing.initial gadget.problem in
       match Rc_core.Coalescing.merge st (gadget.pos gadget.x0) gadget.vertex_f with
       | None -> Alcotest.fail "merge failed"
       | Some st -> (
@@ -463,7 +463,7 @@ let test_figures () =
         match Rc_core.Coalescing.merge st a.u a.v with
         | Some st' -> st'
         | None -> st)
-      (Rc_core.Coalescing.initial p3a.graph)
+      (Rc_core.Coalescing.initial p3a)
       p3a.affinities
   in
   check "fig3a all-coalesced greedy-6" true

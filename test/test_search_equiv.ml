@@ -90,7 +90,7 @@ let test_decoalesce_differential () =
     let p = random_problem ~n:12 ~n_affinities:6 seed in
     let scoring = scoring_of_seed (seed + 1) in
     let st0 =
-      Aggressive.coalesce_state (Coalescing.initial p.graph) p.affinities
+      Aggressive.coalesce_state (Coalescing.initial p) p.affinities
     in
     let flat =
       Coalescing.solution_of_state p (Optimistic.decoalesce_greedy ~scoring p st0)
@@ -144,7 +144,7 @@ let brute_force_optimum (p : Problem.t) =
   let m = Array.length affinities in
   let best = ref (-1) in
   for mask = 0 to (1 lsl m) - 1 do
-    let st = ref (Some (Coalescing.initial p.graph)) in
+    let st = ref (Some (Coalescing.initial p)) in
     for i = 0 to m - 1 do
       if mask land (1 lsl i) <> 0 then
         match !st with
@@ -337,6 +337,10 @@ let assert_agree what g st (rs : Merge_reference.state) =
 
 (* Random vertex pairs, drawn with replacement: the sequences hit equal
    classes and interfering classes as well as accepted merges. *)
+(* A problem over a bare graph, for the merge-state tests: merge
+   states start from a problem. *)
+let bare g = Problem.make ~graph:g ~affinities:[] ~k:1
+
 let random_pair rng vs =
   let n = Array.length vs in
   (vs.(Random.State.int rng n), vs.(Random.State.int rng n))
@@ -376,10 +380,10 @@ let test_merge_oracle () =
     let what = Printf.sprintf "seed %d" seed in
     let st, rs =
       match seed mod 3 with
-      | 0 -> (Coalescing.initial g, Merge_reference.initial g)
+      | 0 -> (Coalescing.initial (bare g), Merge_reference.initial g)
       | 1 ->
           let _, rs0 =
-            merge_lockstep what rng g vs n (Coalescing.initial g)
+            merge_lockstep what rng g vs n (Coalescing.initial (bare g))
               (Merge_reference.initial g)
           in
           let cls =
@@ -387,10 +391,10 @@ let test_merge_oracle () =
               (fun (_, members) -> List.length members > 1 || seed mod 2 = 0)
               (Merge_reference.classes rs0)
           in
-          (Coalescing.of_classes g cls, Merge_reference.of_classes g cls)
+          (Coalescing.of_classes (bare g) cls, Merge_reference.of_classes g cls)
       | _ ->
           let base, rbase =
-            merge_lockstep what rng g vs (n / 2) (Coalescing.initial g)
+            merge_lockstep what rng g vs (n / 2) (Coalescing.initial (bare g))
               (Merge_reference.initial g)
           in
           let spec = Coalescing.Speculation.of_state base in
@@ -505,12 +509,12 @@ let frozen_states seed rng g vs =
   let n = Array.length vs in
   let what = Printf.sprintf "seed %d" seed in
   let _, rs0 =
-    merge_lockstep what rng g vs n (Coalescing.initial g)
+    merge_lockstep what rng g vs n (Coalescing.initial (bare g))
       (Merge_reference.initial g)
   in
   let cls = Merge_reference.classes rs0 in
   let base, rbase =
-    merge_lockstep what rng g vs (n / 2) (Coalescing.initial g)
+    merge_lockstep what rng g vs (n / 2) (Coalescing.initial (bare g))
       (Merge_reference.initial g)
   in
   let spec =
@@ -539,7 +543,9 @@ let frozen_states seed rng g vs =
   Coalescing.Speculation.rollback spec m;
   burst ();
   [
-    ("of_classes", Coalescing.of_classes g cls, Merge_reference.of_classes g cls);
+    ( "of_classes",
+      Coalescing.of_classes (bare g) cls,
+      Merge_reference.of_classes g cls );
     ("commit", committed, Merge_reference.replay rbase log);
   ]
 
@@ -597,6 +603,94 @@ let test_frozen_state () =
           ks verdicts)
       (frozen_states seed rng g vs))
 
+(* ------------------------------------------------------------------ *)
+(* The problem kernel                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Strategies = Rc_core.Strategies
+
+let kernel_problem seed =
+  let classes = Qcheck_gen.[| Chordal; Gnp; Interval; K_colorable |] in
+  Qcheck_gen.problem_in ~cls:classes.(seed mod 4) ~n:(8 + (seed mod 13))
+    ~density:0.3 ~affinity_fraction:0.6 seed
+
+(* The flat every search starts from, the mirror of the initial state,
+   is [Flat.of_graph ?rows] of the problem's graph under every row
+   policy, though it is copied or compacted from the kernel. *)
+let test_kernel_start () =
+  run_seeds ~name:"kernel_start" ~count:100 (fun seed ->
+    let p = kernel_problem seed in
+    List.iter
+      (fun rows ->
+        let what =
+          Printf.sprintf "seed %d, %s" seed
+            (Option.fold ~none:"default" ~some:Flat.rows_to_string rows)
+        in
+        let spec =
+          Coalescing.Speculation.of_state ?rows (Coalescing.initial p)
+        in
+        assert_same_flat what
+          (Coalescing.Speculation.flat spec)
+          (Flat.of_graph ?rows p.graph))
+      (None :: List.map Option.some (row_policies seed)))
+
+(* Everything that solves or reads a problem: every heuristic, the
+   structural profile and the static route (structural and exact).  A
+   strategy may refuse the instance; the kernel must survive that
+   too. *)
+let kernel_readers p =
+  Rc_analysis.Dispatch.install ();
+  let cfg = Strategies.default_config in
+  let static = { cfg with Strategies.dispatch = Strategies.Static_profile } in
+  let run cfg s () =
+    try ignore (Strategies.run_cfg cfg s p) with Invalid_argument _ -> ()
+  in
+  List.map (fun s -> (Strategies.name s, run cfg s)) Strategies.all_heuristics
+  @ [
+      ("profile", fun () -> ignore (Rc_analysis.Profile.analyze p));
+      ( "static briggs+george-ext",
+        run static
+          (Strategies.Conservative
+             Rc_core.Conservative.Briggs_george_extended) );
+      ("static exact", run static Strategies.Exact_conservative);
+    ]
+
+(* Unwritten: the epoch and undo log of a fresh [Flat.of_graph], clean
+   invariants, and still field-by-field equal to one. *)
+let assert_kernel_fresh what p =
+  let k = Problem.kernel p in
+  check_int (what ^ ": kernel epoch") 0 (Flat.epoch k);
+  check_int (what ^ ": kernel undo log") 0 (Flat.log_length k);
+  check_int (what ^ ": kernel checkpoints") 0 (Flat.checkpoint_depth k);
+  Flat.check_invariants k;
+  assert_same_flat (what ^ ": kernel") k (Flat.of_graph p.graph)
+
+let test_kernel_unwritten () =
+  run_seeds ~name:"kernel_unwritten" ~count:40 (fun seed ->
+    let p = kernel_problem seed in
+    let k = Problem.kernel p in
+    List.iter
+      (fun (name, read) ->
+        read ();
+        let what = Printf.sprintf "seed %d, after %s" seed name in
+        check (what ^ ": same kernel") true (Problem.kernel p == k);
+        assert_kernel_fresh what p)
+      (kernel_readers p))
+
+(* The same readers on two pool domains at once, over a problem whose
+   kernel is not built yet: the domains race to build it, then share
+   it. *)
+let test_kernel_shared () =
+  Rc_engine.Pool.with_pool ~domains:2 (fun pool ->
+    run_seeds ~name:"kernel_shared" ~count:20 (fun seed ->
+      let p = kernel_problem seed in
+      let readers = Array.of_list (kernel_readers p) in
+      let n = Array.length readers in
+      ignore
+        (Rc_engine.Pool.run pool ~tasks:(2 * n) (fun i ->
+             snd readers.(i mod n) ()));
+      assert_kernel_fresh (Printf.sprintf "seed %d, 2 domains" seed) p))
+
 let () =
   Alcotest.run "rc_search_equiv"
     [
@@ -633,5 +727,14 @@ let () =
         [
           Alcotest.test_case "compact = of_graph . to_graph (200 seeds)" `Quick
             test_flat_compact;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "solvers start from of_graph (100 seeds)" `Quick
+            test_kernel_start;
+          Alcotest.test_case "no reader writes the kernel (40 seeds)" `Quick
+            test_kernel_unwritten;
+          Alcotest.test_case "two domains share one kernel (20 seeds)" `Quick
+            test_kernel_shared;
         ] );
     ]
